@@ -304,6 +304,8 @@ class ConstraintChecker(InconsistencyDetector):
         batch: Sequence[Context],
         existing: Sequence[Context],
         now: Union[float, Sequence[float]],
+        *,
+        stop_at_hit: bool = False,
     ) -> List[List[Inconsistency]]:
         """Per-context verdicts for a whole batch, in arrival order.
 
@@ -329,6 +331,16 @@ class ConstraintChecker(InconsistencyDetector):
         instead of one Python call per binding.  With the flag off the
         method literally runs the sequential emulation, so results can
         never depend on it.
+
+        With ``stop_at_hit`` the sweep ends at the first row whose
+        verdict is non-empty: the result is the verdict *prefix* up to
+        and including that row (the whole batch when no row hits), and
+        no later row is evaluated.  This is the runtime planner's
+        contract (:class:`repro.runtime.batch._BatchDetectPlanner`):
+        only a hit can make an immediate strategy discard on addition,
+        so every verdict after the first hit depends on a pool the
+        strategy has yet to change, and is planned afterwards against
+        the live pool instead of being evaluated twice.
         """
         if not batch:
             return []
@@ -341,7 +353,9 @@ class ConstraintChecker(InconsistencyDetector):
                     f"got {len(nows)} clocks for {len(batch)} contexts"
                 )
         if not self.batch_kernels:
-            return self._detect_batch_sequential(batch, existing, nows)
+            return self._detect_batch_sequential(
+                batch, existing, nows, stop_at_hit
+            )
 
         index = self._pool_index
         if index is not None and index.size == len(existing):
@@ -442,6 +456,8 @@ class ConstraintChecker(InconsistencyDetector):
                         )
                 total_violations += len(inconsistencies)
                 results.append(inconsistencies)
+                if inconsistencies and stop_at_hit:
+                    break
                 overlay.append(ctx)
 
         if self._detect_counter is not None:
@@ -461,7 +477,7 @@ class ConstraintChecker(InconsistencyDetector):
             delta = engine.interpreter_fallbacks - fallbacks
             if delta:
                 self._fallback_counter.inc(delta)
-            self._batch_rows_counter.inc(len(batch))
+            self._batch_rows_counter.inc(len(results))
             hits = overlay.memo_hits + engine.subexpr_memo_hits - plan_hits
             if hits:
                 self._memo_hits_counter.inc(hits)
@@ -477,6 +493,7 @@ class ConstraintChecker(InconsistencyDetector):
         batch: Sequence[Context],
         existing: Sequence[Context],
         nows: Sequence[float],
+        stop_at_hit: bool = False,
     ) -> List[List[Inconsistency]]:
         """The reference semantics of :meth:`detect_batch`, one
         :meth:`detect` per row over the explicitly materialised scope
@@ -493,7 +510,10 @@ class ConstraintChecker(InconsistencyDetector):
             for ctx, row_now in zip(batch, nows, strict=True):
                 if ctx.ctx_type in self._relevant_types:
                     scope = [c for c in admitted if c.expiry > row_now]
-                    results.append(self.detect(ctx, scope, row_now))
+                    verdict = self.detect(ctx, scope, row_now)
+                    results.append(verdict)
+                    if verdict and stop_at_hit:
+                        break
                 else:
                     results.append([])
                 admitted.append(ctx)

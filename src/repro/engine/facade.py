@@ -361,12 +361,12 @@ class ShardedEngine:
             )
         except (ImportError, OSError, PermissionError) as error:
             # Only *unavailability* of the multiprocessing substrate is
-            # absorbed here (restricted sandboxes without fork or
-            # semaphores).  Worker failures are the supervisor's job:
-            # logged, counted, retried from checkpoints, and -- past
-            # the retry budget -- degraded or raised as
-            # EngineWorkerError, never surfaced as silently missing
-            # decisions.
+            # absorbed here (restricted sandboxes where the supervisor
+            # cannot start its workers).  Worker failures are the
+            # supervisor's job: logged, counted, retried from
+            # checkpoints, and -- past the retry budget -- degraded or
+            # raised as EngineWorkerError, never surfaced as silently
+            # missing decisions.
             _log.warning(
                 "process mode unavailable (%s: %s); running the same "
                 "decomposition in-process",

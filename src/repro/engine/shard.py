@@ -16,9 +16,9 @@ exactly one place -- :mod:`repro.runtime` -- and this module only
   driving one pipeline per driver gives the shard-local schedule
   worker processes use.
 
-Module-level functions (:func:`run_shard_substream`,
-:func:`run_shard_from_queue`, :func:`run_shard_supervised`) are the
-worker-process entry points; a :class:`ShardSpec` carries everything a
+:func:`run_shard_substream` runs one shard's whole sub-stream in the
+calling process; :func:`run_shard_supervised` is the worker-process
+entry point of process mode.  A :class:`ShardSpec` carries everything a
 worker needs to rebuild its pipeline, in picklable form.
 
 :class:`ShardExecutionState` is the checkpointable core the supervised
@@ -42,7 +42,6 @@ from functools import partial
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -68,7 +67,6 @@ __all__ = [
     "ShardCheckpoint",
     "ShardExecutionState",
     "run_shard_substream",
-    "run_shard_from_queue",
     "run_shard_supervised",
 ]
 
@@ -321,9 +319,8 @@ class ShardExecutionState:
 
     The unit both supervised executors drive: the worker process loop
     (:func:`run_shard_supervised`) and the supervisor's in-parent
-    degraded lane feed it batches; :func:`run_shard_substream` and
-    :func:`run_shard_from_queue` drive it through
-    :func:`_drive_substream`.  Batches are applied idempotently by
+    degraded lane feed it batches; :func:`run_shard_substream` drives
+    it over a whole sub-stream.  Batches are applied idempotently by
     index (``last_batch_index`` guards re-entry, so a replayed batch
     the state already contains is a no-op) and the whole mutable state
     can round-trip through a :class:`ShardCheckpoint`.
@@ -397,8 +394,8 @@ class ShardExecutionState:
         """Snapshot the current state (after a fully applied batch).
 
         The snapshot aliases live objects; callers serialize it
-        immediately (the ack queue pickles at ``put`` time), which is
-        what makes it a point-in-time copy.
+        immediately (the worker pickles each ack as it sends it), which
+        is what makes it a point-in-time copy.
         """
         pipeline = self.pipeline
         resolution = pipeline.resolution
@@ -499,72 +496,23 @@ class ShardExecutionState:
         )
 
 
-def _drive_substream(
-    spec: ShardSpec,
-    batches_for: Callable[[ShardPipeline], Iterable[Sequence[Context]]],
-) -> ShardRunResult:
-    """Run one shard over its sub-stream with shard-local windows.
-
-    ``batches_for`` receives the freshly built pipeline (so a queue
-    reader can time its waits against the pipeline's telemetry) and
-    returns the batch iterable to drain.
-    """
-    state = ShardExecutionState(spec)
-    for index, batch in enumerate(batches_for(state.pipeline)):
-        state.process_batch(index, batch)
-    return state.finish()
-
-
 def run_shard_substream(
     spec: ShardSpec, contexts: Sequence[Context]
 ) -> ShardRunResult:
-    """Process-pool entry point: one shard, its whole sub-stream."""
-    return _drive_substream(spec, lambda _pipeline: [contexts])
-
-
-def run_shard_from_queue(spec: ShardSpec, queue) -> ShardRunResult:
-    """Process-pool entry point: one shard fed batches through a queue.
-
-    ``queue`` is a (manager-proxied) bounded queue of context batches;
-    ``None`` is the end-of-stream sentinel.  The bounded queue is what
-    gives the engine backpressure: the router blocks once a shard falls
-    ``max_queue_batches`` batches behind.  Time spent blocked in
-    ``queue.get`` is recorded per shard (``engine_queue_wait_seconds``)
-    -- the router-starvation signal the batch latency alone cannot
-    show.
-    """
-
-    def batches(pipeline: ShardPipeline):
-        telemetry = pipeline.telemetry
-        wait_histogram = (
-            telemetry.registry.histogram(
-                "engine_queue_wait_seconds",
-                help="Time the shard worker spent waiting on its queue",
-                labels={"shard": str(spec.shard_id)},
-            )
-            if telemetry.enabled
-            else None
-        )
-        while True:
-            waited = time.perf_counter()
-            batch = queue.get()
-            if wait_histogram is not None:
-                wait_histogram.observe(time.perf_counter() - waited)
-            if batch is None:
-                return
-            yield batch
-
-    return _drive_substream(spec, batches)
+    """Run one shard over its whole sub-stream with shard-local windows."""
+    state = ShardExecutionState(spec)
+    state.process_batch(0, contexts)
+    return state.finish()
 
 
 # -- supervised worker protocol ----------------------------------------------
 #
-# The supervisor (repro.engine.supervisor) feeds each worker
-# ``(batch_index, contexts)`` items plus a ``None`` end-of-stream
-# sentinel on a per-attempt work queue, and the worker reports back on
-# one shared ack queue.  Every worker message carries ``(kind,
-# shard_id, attempt, ...)`` so the supervisor can drop stale messages
-# from terminated attempts:
+# The supervisor (repro.engine.supervisor) gives each worker attempt two
+# fresh pipes of its own: a work pipe carrying ``(batch_index,
+# contexts)`` items plus a ``None`` end-of-stream sentinel, and an ack
+# pipe the worker reports back on.  Every worker message carries
+# ``(kind, shard_id, attempt, ...)``, and the supervisor ignores any
+# that is not from the lane's current attempt:
 #
 # * ``("ready", sid, attempt)`` -- pipeline built, consuming.
 # * ``("hb", sid, attempt, wall_time)`` -- heartbeat-thread liveness.
@@ -580,54 +528,75 @@ def run_shard_from_queue(spec: ShardSpec, queue) -> ShardRunResult:
 #   the sentinel.
 
 
-def _heartbeat_loop(ack_queue, shard_id, attempt, interval, stop) -> None:
+class _AckSender:
+    """The worker's end of its ack pipe, shared with the heartbeat thread.
+
+    Messages are pickled outside the lock (a checkpoint can be large,
+    and an unpicklable one raises before a byte is written), then
+    written whole under it, so the two threads never interleave
+    frames.
+    """
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+        self._lock = threading.Lock()
+
+    def put(self, message) -> None:
+        payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        with self._lock:
+            self._conn.send_bytes(payload)
+
+
+def _heartbeat_loop(acks, shard_id, attempt, interval, stop) -> None:
     while not stop.wait(interval):
         try:
-            ack_queue.put(("hb", shard_id, attempt, time.time()))
+            acks.put(("hb", shard_id, attempt, time.time()))
         except Exception:
             return  # parent gone; the worker is about to die anyway
 
 
 def run_shard_supervised(
     spec: ShardSpec,
-    work_queue,
-    ack_queue,
+    work_conn,
+    ack_conn,
     fault,
     attempt: int = 0,
     checkpoint: Optional[ShardCheckpoint] = None,
 ) -> None:
     """Worker-process entry point under supervision (process mode).
 
-    Consumes ``(batch_index, contexts)`` items until the ``None``
-    sentinel, acking each applied batch -- with a state checkpoint
-    every ``fault.checkpoint_every`` batches -- and ships the final
-    :class:`ShardRunResult` instead of returning it.  A respawned
-    attempt restores ``checkpoint`` first and skips any replayed batch
-    the checkpoint already contains (idempotent re-entry).
+    Reads ``(batch_index, contexts)`` items from ``work_conn`` until
+    the ``None`` sentinel, acking each applied batch on ``ack_conn`` --
+    with a state checkpoint every ``fault.checkpoint_every`` batches --
+    and ships the final :class:`ShardRunResult` instead of returning
+    it.  A respawned attempt restores ``checkpoint`` first and skips
+    any replayed batch the checkpoint already contains (idempotent
+    re-entry).
     """
     shard_id = spec.shard_id
+    acks = _AckSender(ack_conn)
     stop = threading.Event()
     if fault.heartbeat_interval_s > 0:
         threading.Thread(
             target=_heartbeat_loop,
-            args=(ack_queue, shard_id, attempt, fault.heartbeat_interval_s, stop),
+            args=(acks, shard_id, attempt, fault.heartbeat_interval_s, stop),
             daemon=True,
         ).start()
     state: Optional[ShardExecutionState] = None
     try:
         state = ShardExecutionState(spec, checkpoint=checkpoint)
-        ack_queue.put(("ready", shard_id, attempt))
+        acks.put(("ready", shard_id, attempt))
         injector = spec.fault_injector
         while True:
-            item = work_queue.get()
+            item = work_conn.recv()
             if item is None:
-                ack_queue.put(("result", shard_id, attempt, state.finish()))
+                acks.put(("result", shard_id, attempt, state.finish()))
                 return
             index, batch = item
             if index <= state.last_batch_index:
                 # Replayed batch already folded into the restored
                 # state: ack without re-applying.
-                ack_queue.put(("ack", shard_id, attempt, index, 0, None))
+                acks.put(("ack", shard_id, attempt, index, 0, None))
                 continue
             mid_hook = None
             if injector is not None:
@@ -641,13 +610,11 @@ def run_shard_supervised(
             ):
                 ckpt = state.checkpoint()
             try:
-                ack_queue.put(
-                    ("ack", shard_id, attempt, index, len(batch), ckpt)
-                )
+                acks.put(("ack", shard_id, attempt, index, len(batch), ckpt))
             except (pickle.PicklingError, TypeError, AttributeError) as error:
                 # Unpicklable strategy state: keep running, but tell
                 # the supervisor its replay log cannot be trimmed.
-                ack_queue.put(
+                acks.put(
                     (
                         "warn",
                         shard_id,
@@ -656,13 +623,11 @@ def run_shard_supervised(
                         f"{error}); acking without checkpoint",
                     )
                 )
-                ack_queue.put(
-                    ("ack", shard_id, attempt, index, len(batch), None)
-                )
+                acks.put(("ack", shard_id, attempt, index, len(batch), None))
     except BaseException:
         try:
             failed_index = state.last_batch_index + 1 if state is not None else 0
-            ack_queue.put(
+            acks.put(
                 ("error", shard_id, attempt, failed_index, traceback.format_exc())
             )
         except Exception:

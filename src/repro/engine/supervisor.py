@@ -8,11 +8,22 @@ resolution substrate itself must tolerate partial failure):
 
 * **Supervision loop.** One single-threaded event loop routes the
   context stream into per-shard batches, dispatches them within a
-  bounded in-flight window (``max_queue_batches`` -- the same
-  backpressure the bounded queues used to provide, now enforced by the
+  bounded in-flight window (``max_queue_batches``, enforced by the
   supervisor's ack accounting), drains worker acknowledgements, and
   watches liveness: process exit codes, per-batch progress deadlines
   (``batch_timeout_s``) and worker heartbeats.
+* **Per-lane channels.** Each worker attempt gets two fresh pipes of
+  its own: a work pipe the parent writes batches into and an ack pipe
+  the worker reports back on.  The loop blocks in
+  :func:`multiprocessing.connection.wait` on every lane's ack reader
+  and worker sentinel, so an ack, a result or a worker exit wakes it
+  at once, and no broker process relays (and re-pickles) messages.
+  The parent never blocks writing: work frames that do not fit the
+  pipe stay pending on the lane and go out on a later turn, so a busy
+  or wedged worker cannot stall the loop.  The parent keeps neither
+  pipe's worker end (and forked workers drop their copies of the
+  parent ends), so a worker that dies -- even mid-message -- surfaces
+  as end-of-file or a broken pipe on its own lane only.
 * **Checkpointed batch replay.** Every dispatched batch is retained in
   a per-shard replay log until a worker ack carrying a
   :class:`~repro.engine.shard.ShardCheckpoint` covers it.  A crashed or
@@ -43,7 +54,10 @@ failure-handling semantics in docs/engine.md.
 from __future__ import annotations
 
 import logging
+import os
+import pickle
 import random
+import struct
 import time
 from collections import deque
 from enum import Enum
@@ -88,6 +102,43 @@ class EngineWorkerError(RuntimeError):
         self.detail = detail
 
 
+class _WorkChannel:
+    """Parent end of one worker's work pipe: framed, non-blocking writes.
+
+    Frames follow :meth:`multiprocessing.connection.Connection.send`
+    (a 4-byte big-endian length, then the pickle), so the worker reads
+    them with a plain blocking ``recv``.  Whatever the pipe cannot take
+    now stays in ``pending`` and is written by a later :meth:`flush`.
+    Once the worker is gone (broken pipe) pending bytes are dropped:
+    the lane is about to be respawned or degraded with fresh channels.
+    """
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.fd = conn.fileno()
+        os.set_blocking(self.fd, False)
+        self.pending = bytearray()
+
+    def put(self, message) -> None:
+        payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        self.pending += struct.pack("!i", len(payload))
+        self.pending += payload
+        self.flush()
+
+    def flush(self) -> None:
+        try:
+            while self.pending:
+                del self.pending[: os.write(self.fd, self.pending)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self.pending.clear()
+
+    def close(self) -> None:
+        self.pending.clear()
+        self.conn.close()
+
+
 class _LaneStatus(Enum):
     RUNNING = "running"
     BACKOFF = "backoff"
@@ -102,7 +153,9 @@ class _Lane:
         self.spec = spec
         self.status = _LaneStatus.RUNNING
         self.process = None
-        self.work_queue = None
+        #: Parent ends of the current attempt's pipes.
+        self.work: Optional[_WorkChannel] = None
+        self.acks = None
         #: Contexts routed here but not yet batched.
         self.buffer: List[Context] = []
         self.next_batch_index = 0
@@ -145,11 +198,13 @@ class _Lane:
 class ShardSupervisor:
     """Supervised process-mode execution over one engine run.
 
-    Constructing the supervisor starts the ``multiprocessing`` manager
-    (the availability probe -- restricted sandboxes fail here, and the
-    facade falls back to the in-process decomposition); :meth:`run`
-    spawns one worker per shard and drives the loop; :meth:`close`
-    reaps whatever is still alive.
+    Constructing the supervisor spawns one worker per shard.  That is
+    the availability probe: where ``multiprocessing`` cannot import or
+    a process cannot be started, construction raises (``ImportError``,
+    ``OSError``, ``PermissionError``) with nothing left running, and
+    the facade falls back to the in-process decomposition.
+    :meth:`run` drives the loop; :meth:`close` reaps whatever is still
+    alive.
     """
 
     def __init__(
@@ -160,16 +215,24 @@ class ShardSupervisor:
         telemetry: Telemetry,
     ) -> None:
         import multiprocessing
+        from multiprocessing import connection, util
 
         self._mp = multiprocessing
+        self._wait = connection.wait
+        self._after_fork = util.register_after_fork
         self.config = config
         self.fault: FaultConfig = config.fault
         self.route = route
         self.telemetry = telemetry
         self._rng = random.Random()
-        self._manager = multiprocessing.Manager()
-        self._ack_queue = self._manager.Queue()
         self.lanes = [_Lane(spec) for spec in specs]
+        now = time.monotonic()
+        try:
+            for lane in self.lanes:
+                self._spawn(lane, now)
+        except BaseException:
+            self.close()
+            raise
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -179,9 +242,6 @@ class ShardSupervisor:
         Raises :class:`EngineWorkerError` when a shard exhausts its
         retry budget and degradation is disabled.
         """
-        now = time.monotonic()
-        for lane in self.lanes:
-            self._spawn(lane, now)
         stream = iter(contexts)
         stream_done = False
         while True:
@@ -196,13 +256,9 @@ class ShardSupervisor:
                 return [lane.result for lane in self.lanes]
 
     def close(self) -> None:
-        """Terminate surviving workers and shut the manager down."""
+        """Terminate surviving workers and close their channels."""
         for lane in self.lanes:
             self._reap(lane)
-        try:
-            self._manager.shutdown()
-        except Exception:  # pragma: no cover - manager already gone
-            pass
 
     # -- input pumping -------------------------------------------------------
 
@@ -240,17 +296,19 @@ class ShardSupervisor:
             return
         if lane.status is _LaneStatus.BACKOFF:
             return  # respawned by _check_liveness once the delay passes
+        work = lane.work
+        work.flush()
         while lane.outbox and len(lane.inflight) < self.config.max_queue_batches:
             index, batch = lane.outbox.popleft()
             lane.inflight[index] = batch
-            lane.work_queue.put((index, batch))
+            work.put((index, batch))
         if (
             stream_done
             and not lane.buffer
             and not lane.outbox
             and not lane.sentinel_sent
         ):
-            lane.work_queue.put(None)
+            work.put(None)
             lane.sentinel_sent = True
             lane.last_progress = time.monotonic()
 
@@ -266,16 +324,39 @@ class ShardSupervisor:
     # -- acknowledgements ----------------------------------------------------
 
     def _drain_acks(self, timeout: float) -> None:
-        import queue as queue_module
+        """Wait up to ``timeout`` for any lane's ack or worker exit, then
+        handle every message already received.
 
-        block = timeout
-        while True:
-            try:
-                message = self._ack_queue.get(timeout=block)
-            except queue_module.Empty:
-                return
-            block = 0.0  # drain whatever else already arrived
-            self._handle_message(message)
+        A lane with work still pending in the parent is polled every
+        millisecond instead, so its pipe is refilled as the worker
+        drains it.
+        """
+        readers = {}
+        waitables = []
+        for lane in self.lanes:
+            if lane.acks is not None:
+                readers[lane.acks] = lane
+                waitables.append(lane.acks)
+                if lane.work is not None and lane.work.pending:
+                    timeout = min(timeout, 0.001)
+            if lane.process is not None:
+                waitables.append(lane.process.sentinel)
+        for ready in self._wait(waitables, timeout):
+            lane = readers.get(ready)
+            if lane is None:
+                continue  # a sentinel: _check_liveness handles the exit
+            while lane.acks is ready and ready.poll():
+                try:
+                    message = ready.recv()
+                except (EOFError, OSError):
+                    # The worker closed its end, possibly mid-message:
+                    # only this lane's channel is unusable, and
+                    # _check_liveness retries the lane once it sees the
+                    # dead process.
+                    lane.acks = None
+                    ready.close()
+                    break
+                self._handle_message(message)
 
     def _handle_message(self, message) -> None:
         kind, shard_id, attempt = message[0], message[1], message[2]
@@ -456,19 +537,10 @@ class ShardSupervisor:
                 shard=shard_id,
                 attempt=lane.attempt,
             ):
-                lane.work_queue = self._manager.Queue()
-                process = self._mp.Process(
-                    target=run_shard_supervised,
-                    args=(lane.spec, lane.work_queue, self._ack_queue),
-                    kwargs={
-                        "fault": self.fault,
-                        "attempt": lane.attempt,
-                        "checkpoint": lane.checkpoint,
-                    },
-                    daemon=True,
-                )
-                process.start()
+                process = self._start_worker(lane)
         except OSError as error:
+            if not respawn:
+                raise  # the availability probe (see the class docstring)
             self._handle_failure(
                 lane, kind="spawn", detail=f"could not start worker: {error}"
             )
@@ -478,19 +550,62 @@ class ShardSupervisor:
         lane.last_progress = now
         lane.last_heartbeat = now
 
+    def _start_worker(self, lane: _Lane):
+        """Start one worker attempt on two fresh pipes.
+
+        The worker ends are closed in the parent right after the fork,
+        and every forked child closes its inherited copies of the
+        parent ends, so each pipe has exactly one reader and one writer
+        and a dead peer shows up as end-of-file or a broken pipe.
+        """
+        work_reader, work_writer = self._mp.Pipe(duplex=False)
+        ack_reader, ack_writer = self._mp.Pipe(duplex=False)
+        for parent_end in (work_writer, ack_reader):
+            self._after_fork(parent_end, type(parent_end).close)
+        process = self._mp.Process(
+            target=run_shard_supervised,
+            args=(lane.spec, work_reader, ack_writer),
+            kwargs={
+                "fault": self.fault,
+                "attempt": lane.attempt,
+                "checkpoint": lane.checkpoint,
+            },
+            daemon=True,
+        )
+        try:
+            process.start()
+        except BaseException:
+            work_writer.close()
+            ack_reader.close()
+            raise
+        finally:
+            work_reader.close()
+            ack_writer.close()
+        lane.work = _WorkChannel(work_writer)
+        lane.acks = ack_reader
+        return process
+
     def _reap(self, lane: _Lane) -> None:
+        """Stop the lane's worker (if any) and close its channels."""
         process = lane.process
-        if process is None:
-            return
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - SIGTERM ignored
-                process.kill()
+        if process is not None:
+            if process.is_alive():
+                process.terminate()
                 process.join(timeout=2.0)
-        else:
-            process.join(timeout=0.1)
-        lane.process = None
+                if process.is_alive():  # pragma: no cover - SIGTERM ignored
+                    process.kill()
+                    process.join(timeout=2.0)
+            else:
+                process.join(timeout=0.1)
+            if process.exitcode is not None:
+                process.close()  # releases the sentinel fd now, not at GC
+            lane.process = None
+        if lane.work is not None:
+            lane.work.close()
+            lane.work = None
+        if lane.acks is not None:
+            lane.acks.close()
+            lane.acks = None
 
     # -- telemetry -----------------------------------------------------------
 

@@ -14,8 +14,7 @@ The canonical instrument names (see docs/observability.md):
   strategy plug-in;
 * ``engine_shard_*_total{shard=...}`` -- the per-shard accounting the
   engine's :class:`~repro.engine.metrics.EngineMetrics` is a view of;
-* ``engine_queue_wait_seconds`` / ``engine_batch_seconds`` -- process-
-  mode queue wait and batch latency.
+* ``engine_batch_seconds`` -- per-batch resolution latency on a shard.
 
 :meth:`Telemetry.stage` records **both** a span (named ``stage.<name>``,
 nested under any open span) and one observation in the stage latency

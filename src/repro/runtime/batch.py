@@ -36,9 +36,9 @@ follows -- the non-monotonic-timestamp hole the regression tests in
 ``tests/runtime/test_doa_and_regress.py`` pin.)
 
 Since ISSUE 9 the batch path also *detects* in batches: when the
-driver's ``batch_kernels`` flag is on, a planning pass precomputes
-detection verdicts for whole runs of arrivals through the detector's
-``detect_batch`` (the columnar kernel path of
+driver's ``batch_kernels`` flag is on, planning passes precompute
+detection verdicts for runs of arrivals, each checked once, through
+the detector's ``detect_batch`` (the columnar kernel path of
 :class:`~repro.constraints.checker.ConstraintChecker`), and each
 arrival consumes its precomputed verdict instead of paying a
 per-context ``detect``.  See :class:`_BatchDetectPlanner` for the
@@ -77,17 +77,21 @@ class _BatchDetectPlanner:
     * every pooled context participates in checking
       (``strategy.pool_equals_checking_scope``).
 
-    The planner is therefore *reactive*: verdicts are precomputed
-    optimistically for the maximal run of arrivals that provably
-    cannot be intercepted (duplicate and dead-on-arrival checks are
-    decidable at planning time -- clocks depend only on timestamps),
-    and every non-expiry pool removal shows up in the pipeline's
-    discard log, whose length is re-checked before each verdict is
-    consumed.  On a mismatch the remaining rows are re-planned against
-    the current pool, so a discard costs one extra ``detect_batch``
-    call, never a wrong verdict.  Row identity and clock are verified
-    per consume; any divergence abandons the plan for the rest of the
-    batch (per-context fallback).
+    Duplicate and dead-on-arrival interceptions are decidable at
+    planning time (clocks depend only on timestamps), so the accepted
+    run ends before the first of them.  Strategy discards are not: an
+    immediate strategy discards on addition only when the newcomer's
+    verdict is non-empty.  Each planning pass therefore asks
+    ``detect_batch`` to stop at the first row that hits
+    (``stop_at_hit``); the rows after it are planned by the next pass,
+    once the hit has been applied, against the live pool.  Every
+    arrival's verdict is thus evaluated exactly once.
+
+    The discard log stays the safety net for any other pool removal:
+    its length is re-checked before each verdict is consumed, and on a
+    mismatch the remaining rows are planned again.  Row identity and
+    clock are verified per consume; any divergence abandons the plan
+    for the rest of the batch (per-context fallback).
     """
 
     __slots__ = (
@@ -136,33 +140,39 @@ class _BatchDetectPlanner:
         self.nows.append(now)
 
     def plan(self) -> None:
-        """Precompute the verdicts for the accepted run.
+        """Precompute verdicts for the unconsumed rows, up to the first hit.
 
         The ``detect_batch`` call is timed as the ``check`` stage (one
-        observation per planned batch), so checking latency stays
+        observation per planning pass), so checking latency stays
         visible in the same histogram the per-context path feeds.
         """
         pipeline = self.pipeline
+        del self.rows[: self.cursor]
+        del self.nows[: self.cursor]
+        self.cursor = 0
         self.discard_mark = len(pipeline.resolution.log.discarded)
         if self.rows:
             with pipeline.resolution.stage_check:
                 self.verdicts = self.detector.detect_batch(
-                    self.rows, pipeline.pool.contents(), self.nows
+                    self.rows,
+                    pipeline.pool.contents(),
+                    self.nows,
+                    stop_at_hit=True,
                 )
 
     def take(self, ctx: Context, now: float) -> Optional[List]:
         """The precomputed verdict for ``ctx``, or ``None`` to fall back.
 
-        Re-plans the remaining rows when the pipeline discarded
+        Plans the remaining rows when the previous pass stopped at a
+        hit that has since been applied, or when the pipeline discarded
         contexts since the verdicts were computed (the scope the plan
         assumed no longer matches the pool).
         """
         if self.cursor >= len(self.rows):
             return None
-        if len(self.pipeline.resolution.log.discarded) != self.discard_mark:
-            del self.rows[: self.cursor]
-            del self.nows[: self.cursor]
-            self.cursor = 0
+        if self.cursor >= len(self.verdicts) or (
+            len(self.pipeline.resolution.log.discarded) != self.discard_mark
+        ):
             self.plan()
         row = self.rows[self.cursor]
         if row.ctx_id != ctx.ctx_id or self.nows[self.cursor] != now:

@@ -139,6 +139,25 @@ class TestBatchedEquivalence:
                 _checker(batch_kernels=False), contexts, batch_size
             )
 
+    @settings(max_examples=60, deadline=None)
+    @given(moves=moves_strategy(), batch_kernels=st.booleans())
+    def test_stop_at_hit_returns_the_prefix_through_the_first_hit(
+        self, moves, batch_kernels
+    ):
+        contexts = [
+            _ctx(i, x, subject=subject) for i, (x, subject) in enumerate(moves)
+        ]
+        nows = [ctx.timestamp for ctx in contexts]
+        full = _canon(
+            _checker(batch_kernels=batch_kernels).detect_batch(contexts, [], nows)
+        )
+        hits = [k for k, row in enumerate(full) if row]
+        expected = full[: hits[0] + 1] if hits else full
+        checker = _checker(batch_kernels=batch_kernels)
+        stopped = checker.detect_batch(contexts, [], nows, stop_at_hit=True)
+        assert _canon(stopped) == expected
+        assert checker.detect_calls == len(expected)
+
     @settings(max_examples=50, deadline=None)
     @given(
         moves=moves_strategy(max_size=8),

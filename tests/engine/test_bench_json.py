@@ -8,21 +8,12 @@ machine cannot flake the suite.
 """
 
 import json
-import pathlib
 
 from repro.engine import write_bench_json
 from repro.engine.workload import run_scalability_bench
 
-OUT_PATH = (
-    pathlib.Path(__file__).resolve().parents[2]
-    / "benchmarks"
-    / "out"
-    / "BENCH_engine.json"
-)
-
-
 class TestScalabilityBench:
-    def test_sharding_speeds_up_and_records_json(self):
+    def test_sharding_speeds_up_and_records_json(self, tmp_path):
         # batch_kernels off: the sharding speedup is measured on the
         # per-context detection path whose pool-scan cost sharding
         # removes -- columnar batched detection attacks the same cost,
@@ -41,9 +32,10 @@ class TestScalabilityBench:
         # point the right way (the full benchmark enforces >= 2x).
         assert record["speedup"]["4_shards_vs_1"] >= 1.3
 
-        document = write_bench_json(OUT_PATH, "engine_scalability_smoke", record)
+        out_path = tmp_path / "BENCH_engine.json"
+        document = write_bench_json(out_path, "engine_scalability_smoke", record)
         assert "engine_scalability_smoke" in document
-        reread = json.loads(OUT_PATH.read_text(encoding="utf-8"))
+        reread = json.loads(out_path.read_text(encoding="utf-8"))
         assert (
             reread["engine_scalability_smoke"]["speedup"]["4_shards_vs_1"]
             == record["speedup"]["4_shards_vs_1"]

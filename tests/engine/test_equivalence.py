@@ -296,3 +296,36 @@ class TestBatchKernelToggle:
             batch_kernels=False, use_window=50, use_delay=None,
         )
         assert on == off
+
+    def test_planner_checks_each_arrival_once(self):
+        # Drop-latest discards in the middle of the planned run; the
+        # planner must stop each pass at the hit and resume after it,
+        # never re-evaluating a row it already checked.
+        rng = random.Random(7)
+        constraints = make_constraints(rng)
+        stream = make_stream(rng, n=120, lifespans=(float("inf"),))
+        relevant_types = {"loc", "badge", "rfid", "temp"}
+        relevant = sum(ctx.ctx_type in relevant_types for ctx in stream)
+
+        def run(batch_kernels):
+            engine = ShardedEngine(
+                constraints,
+                strategy="drop-latest",
+                config=EngineConfig(
+                    shards=2,
+                    mode="inline",
+                    use_window=4,
+                    batch_kernels=batch_kernels,
+                ),
+            )
+            return engine.run(stream)
+
+        on = run(True)
+        off = run(False)
+        assert len(on.discarded_ids) >= 3
+        assert (on.delivered_ids, on.discarded_ids) == (
+            off.delivered_ids,
+            off.discarded_ids,
+        )
+        detect_calls = sum(s.detect_calls for s in on.metrics.per_shard)
+        assert detect_calls == relevant

@@ -57,6 +57,7 @@ class TestEngineBench:
             "engine", "bench", "--shards", "1", "2",
             "--contexts", "300", "--repeats", "1",
             "--json", str(path),
+            "--telemetry-out", str(tmp_path / "TELEMETRY_engine_bench.json"),
         )
         assert code == 0
         assert "contexts/second by shard count" in text
