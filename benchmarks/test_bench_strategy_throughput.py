@@ -88,7 +88,8 @@ def _per_discard_seconds(n_pending: int) -> float:
 
 def test_scheduler_discard_stays_constant_time_at_20k_pending():
     # The historical unschedule rebuilt the whole pending-use deque per
-    # discard (`Middleware._unschedule` / `StreamDriver._unschedule`):
+    # discard (`Middleware._unschedule` and the engine driver's
+    # `_unschedule`):
     # O(pending) each, quadratic to drain a window.  The UseScheduler's
     # id-index + tombstones make discard amortized O(1): per-discard
     # cost must not scale with the queue length.

@@ -153,21 +153,22 @@ class ResolutionService:
     def handle_addition(
         self,
         ctx: Context,
-        pool_contexts: Sequence[Context],
+        pool_contexts: Iterable[Context],
         now: float,
         detected: Optional[List[Inconsistency]] = None,
     ) -> AddOutcome:
         """Process a context addition change.
 
         ``pool_contexts`` are the live contexts currently in the pool
-        (excluding ``ctx``); the service filters them down to the
-        strategy's checking scope before detection.  ``detected``, when
-        not ``None``, is a precomputed detection verdict for exactly
-        this addition (the batched detection path of
-        :mod:`repro.runtime.batch` plans these through
-        ``detect_batch``): the detector is not consulted, but logging,
-        strategy dispatch and outcome handling are unchanged, so the
-        decision trail is byte-identical to an inline detect.
+        (excluding ``ctx``): a list, or the pool itself.  The service
+        filters them down to the strategy's checking scope only when it
+        detects on its own.  ``detected``, when not ``None``, is a
+        precomputed detection verdict for exactly this addition (the
+        batched detection path of :mod:`repro.runtime.batch` plans
+        these through ``detect_batch``): the detector is not consulted
+        and the scope is never built, but logging, strategy dispatch
+        and outcome handling are unchanged, so the decision trail is
+        byte-identical to an inline detect.
         """
         telemetry = self._telemetry
         self.log.added.append(ctx)
@@ -177,13 +178,15 @@ class ResolutionService:
             if detected is not None:
                 new_inconsistencies = detected
             else:
+                # Scope upkeep stays outside the check timer, which
+                # covers detection only.
+                scope = [
+                    c
+                    for c in pool_contexts
+                    if not c.is_expired(now)
+                    and self.strategy.participates_in_checking(c)
+                ]
                 with self._stage_check:
-                    scope = [
-                        c
-                        for c in pool_contexts
-                        if not c.is_expired(now)
-                        and self.strategy.participates_in_checking(c)
-                    ]
                     new_inconsistencies = self.detector.detect(ctx, scope, now)
             self.log.detected.extend(new_inconsistencies)
         with self._stage_resolve:

@@ -22,9 +22,10 @@ __all__ = ["EngineConfig", "FaultConfig"]
 #: * ``local`` -- shards still run in-process but each consumes its
 #:   own sub-stream with shard-local windows (the decomposition the
 #:   process mode uses, without the processes; useful for testing it).
-#: * ``process`` -- shards run in worker processes
-#:   (``concurrent.futures.ProcessPoolExecutor``) fed through bounded
-#:   queues in batches; windows are shard-local.  With time-based
+#: * ``process`` -- shards run in supervised worker processes
+#:   (:mod:`repro.engine.supervisor`), one per shard, fed batches over
+#:   per-lane pipes within a bounded in-flight window and retried from
+#:   checkpoints on failure; windows are shard-local.  With time-based
 #:   windows and timestamp-ordered streams this is decision-equivalent
 #:   to ``inline`` (see docs/engine.md).
 MODES = ("inline", "local", "process")
@@ -167,12 +168,6 @@ class EngineConfig:
         golden suites pin it); ``False`` is the ``repro engine run
         --no-batch-kernels`` escape hatch and the A/B lever of the
         ``detection_batch`` benchmark column.
-    runtime_batch:
-        Apply arrivals through the amortized runtime batch path
-        (:func:`repro.runtime.batch.receive_batch`, default).
-        ``False`` falls back to per-context ``driver.receive`` -- the
-        ``repro engine run --no-runtime-batch`` escape hatch and the
-        A/B lever of the ``runtime_batch`` benchmark column.
     ledger_path:
         When set, the run writes an immutable decision ledger (see
         :mod:`repro.ledger`) to this JSONL path: every arrival,
@@ -204,7 +199,6 @@ class EngineConfig:
     fault: FaultConfig = field(default_factory=FaultConfig)
     kernels: bool = True
     batch_kernels: bool = True
-    runtime_batch: bool = True
     ledger_path: Optional[str] = None
     ledger_fsync: bool = False
     async_check: Optional[AsyncCheckConfig] = None

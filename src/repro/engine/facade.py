@@ -17,8 +17,8 @@ Three execution modes (see :mod:`repro.engine.config`):
   windows, sequentially in-process.  The decomposition process mode
   uses, minus the processes.
 * ``process`` -- shards run in *supervised* worker processes
-  (:mod:`repro.engine.supervisor`), fed batches through queues under
-  ack-based backpressure.  Worker failures are retried with backoff
+  (:mod:`repro.engine.supervisor`), fed batches over per-lane pipes
+  under ack-based backpressure.  Worker failures are retried with backoff
   from checkpointed replay logs; a shard that exhausts its retry
   budget degrades to in-parent execution (or raises
   :class:`~repro.engine.supervisor.EngineWorkerError`) -- decisions
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..constraints.ast import Constraint
 from ..constraints.builtins import FunctionRegistry, standard_registry
@@ -42,6 +42,7 @@ from ..ledger import ruleset_document as build_ruleset_document
 from ..ledger import ruleset_hash as hash_ruleset
 from ..middleware.bus import ContextDelivered, ContextDiscarded, Event, EventBus
 from ..obs.telemetry import Telemetry
+from ..runtime.pipeline import PipelineDriver
 from .config import EngineConfig
 from .merge import EngineResult, merge_events
 from .metrics import EngineMetrics
@@ -51,7 +52,6 @@ from .shard import (
     ShardPipeline,
     ShardRunResult,
     ShardSpec,
-    StreamDriver,
     run_shard_substream,
 )
 from .supervisor import ShardSupervisor
@@ -145,11 +145,34 @@ class ShardedEngine:
                 fault_injector=self.fault_injector,
                 kernels=self.config.kernels,
                 batch_kernels=self.config.batch_kernels,
-                runtime_batch=self.config.runtime_batch,
                 async_check=self.config.async_check,
             )
             for shard_id in range(self.config.shards)
         ]
+
+    def inline_host(
+        self, telemetry: Telemetry
+    ) -> Tuple[List[ShardPipeline], PipelineDriver]:
+        """Every shard pipeline on the engine bus, behind one driver.
+
+        The inline host of :meth:`run` and of open streams.  Shards
+        share ``telemetry``: one registry, one span ring, global
+        ordering preserved.
+        """
+        pipelines: List[ShardPipeline] = []
+        for spec in self.shard_specs():
+            pipeline = spec.build(telemetry=telemetry)
+            pipeline.bus = self.bus
+            pipelines.append(pipeline)
+        driver = PipelineDriver(
+            pipelines,
+            self.router.route,
+            use_window=self.config.use_window,
+            use_delay=self.config.use_delay,
+            async_check=self.config.async_check,
+            batch_kernels=self.config.batch_kernels,
+        )
+        return pipelines, driver
 
     def ruleset_document(self) -> dict:
         """The run's full resolution configuration as a ledger ruleset.
@@ -283,30 +306,10 @@ class ShardedEngine:
     def _run_inline(
         self, contexts: Iterable[Context], telemetry: Telemetry
     ) -> EngineResult:
-        specs = self.shard_specs()
-        pipelines: List[ShardPipeline] = []
-        for spec in specs:
-            # Inline shards share the engine's bundle: one registry,
-            # one span ring, global ordering preserved.
-            pipeline = spec.build(telemetry=telemetry)
-            pipeline.bus = self.bus
-            pipelines.append(pipeline)
+        pipelines, driver = self.inline_host(telemetry)
         events: List[Event] = []
         self.bus.subscribe(Event, events.append)
-        driver = StreamDriver(
-            pipelines,
-            self.router.route,
-            use_window=self.config.use_window,
-            use_delay=self.config.use_delay,
-            async_check=self.config.async_check,
-            batch_kernels=self.config.batch_kernels,
-        )
-        if self.config.runtime_batch:
-            driver.receive_all(contexts)
-        else:
-            for ctx in contexts:
-                driver.receive(ctx)
-            driver.flush_uses()
+        driver.receive_all(contexts)
         return self._collect_inline(pipelines, events, telemetry)
 
     def _collect_inline(

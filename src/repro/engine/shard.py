@@ -9,12 +9,12 @@ exactly one place -- :mod:`repro.runtime` -- and this module only
   per-shard arrival/use counters and the ``engine_shard_*`` accounting
   (:meth:`~ShardPipeline.flush_stats`).  No stage logic is defined
   here.
-* :class:`StreamDriver` is a
-  :class:`~repro.runtime.pipeline.PipelineDriver` under its historical
-  name: driving *n* pipelines through one driver reproduces the
-  single-pool middleware's use schedule globally (inline mode);
-  driving one pipeline per driver gives the shard-local schedule
-  worker processes use.
+* Shards are driven by the runtime's own
+  :class:`~repro.runtime.pipeline.PipelineDriver`: driving *n*
+  pipelines through one driver reproduces the single-pool
+  middleware's use schedule globally (inline mode); driving one
+  pipeline per driver gives the shard-local schedule worker processes
+  use.
 
 :func:`run_shard_substream` runs one shard's whole sub-stream in the
 calling process; :func:`run_shard_supervised` is the worker-process
@@ -23,12 +23,11 @@ worker needs to rebuild its pipeline, in picklable form.
 
 :class:`ShardExecutionState` is the checkpointable core the supervised
 entry point (and the supervisor's in-parent degraded lane) drive: it
-owns the pipeline, the shard-local :class:`StreamDriver` and the event
-log, applies batches idempotently by batch index -- through the
-amortized :func:`repro.runtime.batch.receive_batch` path unless the
-spec opts out -- and can capture / restore a :class:`ShardCheckpoint`,
-the plain-data snapshot that makes deterministic replay after a worker
-crash possible.
+owns the pipeline, the shard-local driver and the event log, applies
+batches idempotently by batch index through the runtime's arrival loop
+(:func:`repro.runtime.batch.receive_batch`), and can capture / restore
+a :class:`ShardCheckpoint`, the plain-data snapshot that makes
+deterministic replay after a worker crash possible.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from ..runtime.snapshot import AsyncCheckConfig
 
 __all__ = [
     "ShardPipeline",
-    "StreamDriver",
     "ShardSpec",
     "ShardRunResult",
     "ShardCheckpoint",
@@ -179,16 +177,6 @@ class ShardPipeline(ResolutionPipeline):
             ).set(len(constraints()))
 
 
-class StreamDriver(PipelineDriver):
-    """Global use scheduling over one or more shard pipelines.
-
-    The historical engine name for the canonical
-    :class:`~repro.runtime.pipeline.PipelineDriver` -- the clock, the
-    :class:`~repro.runtime.scheduler.UseScheduler` and the arrival
-    loop are all inherited unchanged.
-    """
-
-
 # -- process-mode plumbing ----------------------------------------------------
 
 
@@ -226,11 +214,6 @@ class ShardSpec:
     #: ``--no-batch-kernels`` escape hatch turns this off; decisions
     #: are identical either way).
     batch_kernels: bool = True
-    #: Apply batches through the amortized runtime batch path
-    #: (:func:`repro.runtime.batch.receive_batch`); ``False`` falls
-    #: back to per-context ``driver.receive`` (the benchmark's A/B
-    #: lever and the ``--no-runtime-batch`` escape hatch).
-    runtime_batch: bool = True
     #: Snapshot-window asynchronous checking for this shard's driver
     #: (``None`` keeps the synchronous path).  A frozen plain-data
     #: config, so it pickles with the spec.
@@ -338,7 +321,7 @@ class ShardExecutionState:
         self.telemetry = self.pipeline.telemetry
         self.events: List[Event] = []
         self.pipeline.bus.subscribe(Event, self.events.append)
-        self.driver = StreamDriver(
+        self.driver = PipelineDriver(
             [self.pipeline],
             lambda _ctx: 0,
             use_window=spec.use_window,
@@ -440,21 +423,15 @@ class ShardExecutionState:
             "engine.batch", shard=self.spec.shard_id, size=len(batch)
         ):
             batch_started = time.perf_counter()
-            half = len(batch) // 2
-            if self.spec.runtime_batch:
-                position_hook = None
-                if mid_hook is not None:
+            position_hook = None
+            if mid_hook is not None:
+                half = len(batch) // 2
 
-                    def position_hook(position: int) -> None:
-                        if position == half:
-                            mid_hook()
-
-                receive_batch(self.driver, batch, position_hook=position_hook)
-            else:
-                for position, ctx in enumerate(batch):
-                    if mid_hook is not None and position == half:
+                def position_hook(position: int) -> None:
+                    if position == half:
                         mid_hook()
-                    self.driver.receive(ctx)
+
+            receive_batch(self.driver, batch, position_hook=position_hook)
             if self._batch_histogram is not None:
                 self._batch_histogram.observe(
                     time.perf_counter() - batch_started

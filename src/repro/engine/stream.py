@@ -24,7 +24,7 @@ process mode's job, behind this same facade.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.context import Context
 from ..ledger import LedgerRecorder, LedgerWriter
@@ -38,7 +38,6 @@ from ..middleware.bus import (
 )
 from ..obs.telemetry import Telemetry
 from ..runtime.batch import receive_batch
-from .shard import ShardPipeline, StreamDriver
 
 __all__ = ["EngineStream"]
 
@@ -63,20 +62,7 @@ class EngineStream:
             else Telemetry.disabled()
         )
         self.telemetry = bundle
-        pipelines: List[ShardPipeline] = []
-        for spec in engine.shard_specs():
-            pipeline = spec.build(telemetry=bundle)
-            pipeline.bus = engine.bus
-            pipelines.append(pipeline)
-        self.pipelines = pipelines
-        self.driver = StreamDriver(
-            pipelines,
-            engine.router.route,
-            use_window=engine.config.use_window,
-            use_delay=engine.config.use_delay,
-            async_check=engine.config.async_check,
-            batch_kernels=engine.config.batch_kernels,
-        )
+        self.pipelines, self.driver = engine.inline_host(bundle)
         self.bus = engine.bus
         self.submitted = 0
         self.delivered = 0

@@ -6,9 +6,13 @@ deliver/discard life cycle, shared by every entry point:
 * :class:`~repro.middleware.manager.Middleware` -- the single-pool
   reproduction host -- is a thin adapter over one
   :class:`ResolutionPipeline` and one :class:`PipelineDriver`;
-* the engine's ``ShardPipeline``/``StreamDriver``
-  (:mod:`repro.engine.shard`) adapt the same classes per shard, with
-  :class:`UseScheduler` state riding shard checkpoints.
+* the engine's ``ShardPipeline`` (:mod:`repro.engine.shard`) adapts
+  the pipeline per shard, and shards are driven by the same
+  :class:`PipelineDriver`, with :class:`UseScheduler` state riding
+  shard checkpoints.
+
+Every arrival, from every host, goes through one loop:
+:func:`receive_batch`.
 
 See ``docs/runtime.md`` for the stage/semantics reference.
 """

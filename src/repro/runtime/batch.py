@@ -1,16 +1,22 @@
-"""Amortized batch arrivals over a :class:`~.pipeline.PipelineDriver`.
+"""The arrival loop: every arrival of every host goes through here.
 
-:func:`receive_batch` applies a sequence of contexts with decisions
-byte-identical to calling ``driver.receive`` per context -- the
-equivalence suite machine-checks this -- while hoisting the per-arrival
-bookkeeping the sequential path pays:
+:func:`receive_batch` is the one implementation of the arrival step of
+the paper's life cycle -- expiry sweep, due-use drain, dead-on-arrival
+intercept, duplicate refusal, add, schedule, drain -- over a
+:class:`~.pipeline.PipelineDriver`.  ``PipelineDriver.receive`` is a
+batch of one, ``PipelineDriver.receive_all`` streams bounded chunks,
+the engine's inline run, open :class:`~repro.engine.stream.EngineStream`
+sessions and shard workers (``ShardExecutionState.process_batch``) all
+call it.  Chunking is invisible to decisions: the golden suite pins
+the same signatures for a stream fed whole, in chunks, or one context
+at a time.  The loop amortizes the per-arrival bookkeeping:
 
-* **Expiry sweep guard.**  The sequential path asks every pipeline for
-  due expiries on every arrival (O(shards) heap peeks per context).
-  The batch path tracks one running lower bound -- the minimum pending
-  expiry across all pipelines, tightened as admitted contexts bring
-  finite lifespans in -- and sweeps only when the simulation clock
-  actually reaches it.  Streams of immortal contexts pay a single float
+* **Expiry sweep guard.**  Instead of asking every pipeline for due
+  expiries on every arrival (O(shards) heap peeks per context), the
+  loop tracks one running lower bound -- the minimum pending expiry
+  across all pipelines, tightened as admitted contexts bring finite
+  lifespans in -- and sweeps only when the simulation clock actually
+  reaches it.  Streams of immortal contexts pay a single float
   comparison per arrival.
 * **Bound-method hoisting.**  The clock, scheduler, router and
   pipeline lookups are resolved once per batch, not per context.
@@ -35,10 +41,10 @@ already-dead context and deliver it from the very ``drain`` call that
 follows -- the non-monotonic-timestamp hole the regression tests in
 ``tests/runtime/test_doa_and_regress.py`` pin.)
 
-Since ISSUE 9 the batch path also *detects* in batches: when the
-driver's ``batch_kernels`` flag is on, planning passes precompute
-detection verdicts for runs of arrivals, each checked once, through
-the detector's ``detect_batch`` (the columnar kernel path of
+The loop also *detects* in batches: when the driver's
+``batch_kernels`` flag is on, planning passes precompute detection
+verdicts for runs of arrivals, each checked once, through the
+detector's ``detect_batch`` (the columnar kernel path of
 :class:`~repro.constraints.checker.ConstraintChecker`), and each
 arrival consumes its precomputed verdict instead of paying a
 per-context ``detect``.  See :class:`_BatchDetectPlanner` for the
@@ -46,9 +52,11 @@ exact soundness conditions; whenever they cannot be established the
 arrival transparently falls back to the per-context detect, so
 decisions never depend on the flag.
 
-The engine's shard batches (``ShardExecutionState.process_batch``) and
-the middleware's ``receive_all`` both feed through here, so the batch
-path is the one hot loop everything shares.
+With asynchronous checking on, each arrival is first offered to the
+driver's :class:`~.snapshot.SnapshotIngress`; refused arrivals are
+published as ``ContextStale`` / ``ContextDuplicate`` and the
+timestamp-sorted runs the window releases go through the same
+synchronous loop (:func:`receive_synchronized`).
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..core.context import Context
+from ..middleware.bus import ContextDuplicate, ContextStale
 from .pipeline import PipelineDriver, ResolutionPipeline
 
 __all__ = ["receive_batch"]
@@ -91,7 +100,7 @@ class _BatchDetectPlanner:
     its length is re-checked before each verdict is consumed, and on a
     mismatch the remaining rows are planned again.  Row identity and
     clock are verified per consume; any divergence abandons the plan
-    for the rest of the batch (per-context fallback).
+    for the rest of the batch (per-context detect fallback).
     """
 
     __slots__ = (
@@ -124,7 +133,8 @@ class _BatchDetectPlanner:
         A context that would be intercepted before detection -- dead on
         arrival (decidable now: clocks are timestamp-determined) or a
         duplicate of a live pooled id or of an earlier planned row --
-        ends the run: everything after it takes the per-context path.
+        ends the run: everything after it falls back to the per-context
+        detect.
         """
         if not self.open:
             return
@@ -144,7 +154,7 @@ class _BatchDetectPlanner:
 
         The ``detect_batch`` call is timed as the ``check`` stage (one
         observation per planning pass), so checking latency stays
-        visible in the same histogram the per-context path feeds.
+        visible in the same histogram the per-context detect feeds.
         """
         pipeline = self.pipeline
         del self.rows[: self.cursor]
@@ -252,16 +262,38 @@ def receive_batch(
     ``position_hook`` (used by the fault-injection harness) is called
     with the batch position before each context is processed.
     """
-    if driver.ingress is not None:
-        # Asynchronous checking: the snapshot window decides release
-        # order per arrival, so the hoisted fast path (whose sweep
-        # bound amortization assumes arrivals are processed as they
-        # come) hands over to the per-context path.
-        for position, ctx in enumerate(contexts):
-            if position_hook is not None:
-                position_hook(position)
-            driver.receive(ctx)
+    ingress = driver.ingress
+    if ingress is None:
+        receive_synchronized(driver, contexts, position_hook)
         return len(contexts)
+    # Asynchronous checking: the snapshot window decides what reaches
+    # the checker, and in which order.
+    for position, ctx in enumerate(contexts):
+        if position_hook is not None:
+            position_hook(position)
+        outcome = ingress.offer(ctx)
+        if outcome.dropped is not None:
+            event_type = (
+                ContextStale if outcome.dropped == "stale" else ContextDuplicate
+            )
+            driver.pipelines[driver.route(ctx)].bus.publish(
+                event_type(at=driver.clock.now(), context=ctx)
+            )
+        elif outcome.released:
+            receive_synchronized(driver, outcome.released)
+    return len(contexts)
+
+
+def receive_synchronized(
+    driver: PipelineDriver,
+    contexts: Sequence[Context],
+    position_hook: Optional[Callable[[int], None]] = None,
+) -> None:
+    """The synchronous arrival step over ``contexts``, in order.
+
+    Bypasses the snapshot window: callers pass arrivals it has already
+    released (or any arrivals, when the driver has no window).
+    """
     pipelines = driver.pipelines
     scheduler = driver.scheduler
     clock = driver.clock
@@ -275,7 +307,7 @@ def receive_batch(
     # planning pass and the hot loop share the precomputed indices.
     routes: Optional[List[int]] = None
     planners = None
-    if getattr(driver, "batch_kernels", True):
+    if driver.batch_kernels:
         routes = [route(ctx) for ctx in contexts]
         planners = _batch_planners(driver, contexts, routes)
 
@@ -303,29 +335,35 @@ def receive_batch(
                 default=float("inf"),
             )
         if time_based:
+            # Time-based window: contexts whose delay elapsed are used
+            # BEFORE the newcomer is checked -- they have left the
+            # checking scope by the time it arrives.
             drain(now)
 
+        pipeline = pipelines[pipeline_index]
         if ctx.expiry <= now:
             # Dead on arrival (see the module docstring): expire at
             # receive; the pool, the scheduler and the sweep bound
             # never see a context whose availability already lapsed.
-            pipelines[pipeline_index].expire_on_receive(ctx, now)
+            pipeline.expire_on_receive(ctx, now)
             continue
-        if pipelines[pipeline_index].pool.get(ctx.ctx_id) is not None:
-            # Live-id re-delivery: refuse, mirroring the per-context
-            # path (see PipelineDriver._receive_now).
-            pipelines[pipeline_index].refuse_duplicate(ctx, now)
+        if pipeline.pool.get(ctx.ctx_id) is not None:
+            # At-least-once re-delivery while the original is still
+            # live: refuse it instead of tripping the pool's unique-id
+            # invariant.  (A duplicate arriving after the original left
+            # the pool is indistinguishable from a fresh context and is
+            # admitted as one.)
+            pipeline.refuse_duplicate(ctx, now)
             continue
         detected = None
         if planners is not None:
             planner = planners.get(pipeline_index)
             if planner is not None:
                 detected = planner.take(ctx, now)
-        outcome = pipelines[pipeline_index].add(ctx, now, detected=detected)
+        outcome = pipeline.add(ctx, now, detected=detected)
         if ctx.ctx_id not in {c.ctx_id for c in outcome.discarded}:
             scheduler.schedule(ctx, pipeline_index, now)
             if ctx.expiry < next_expiry:
                 next_expiry = ctx.expiry
 
         drain(now)
-    return position

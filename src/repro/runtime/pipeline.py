@@ -15,11 +15,14 @@ Two classes split the work along the line the sharded engine needs:
   in :class:`~repro.core.resolver.ResolutionService`).  It is
   parameterized by detector, strategy, bus, telemetry, and -- once a
   driver binds it -- a shared clock and :class:`~.scheduler.UseScheduler`.
-* :class:`PipelineDriver` -- the arrival loop over one or more
-  pipelines: the simulation clock, the use scheduler, routing, due-use
-  draining and end-of-stream flushing.  One driver over n pipelines is
-  the inline engine's global schedule; one driver over one pipeline is
-  the single-pool middleware and the shard-local worker schedule.
+* :class:`PipelineDriver` -- the state arrivals are applied against
+  over one or more pipelines: the simulation clock, the use scheduler,
+  routing, the optional snapshot window, due-use draining and
+  end-of-stream flushing.  One driver over n pipelines is the inline
+  engine's global schedule; one driver over one pipeline is the
+  single-pool middleware and the shard-local worker schedule.  The
+  arrival step itself is :func:`~repro.runtime.batch.receive_batch`,
+  the one loop every entry point feeds.
 
 Expiry is registered through a pool listener, so *every* pool insert
 (including checkpoint restores, which re-add the pool contents) lands
@@ -44,7 +47,6 @@ from ..middleware.bus import (
     ContextExpired,
     ContextMarkedBad,
     ContextReceived,
-    ContextStale,
     EventBus,
     InconsistencyDetected,
 )
@@ -188,12 +190,9 @@ class ResolutionPipeline:
         path); events, logging and outcomes are identical either way.
         """
         with self._stage_receive:
-            existing = [
-                c for c in self.pool.contents() if c.ctx_id != ctx.ctx_id
-            ]
             detected_before = len(self.resolution.log.detected)
             outcome = self.resolution.handle_addition(
-                ctx, existing, now, detected=detected
+                ctx, self.pool, now, detected=detected
             )
             self.bus.publish(ContextReceived(at=now, context=ctx))
             for inconsistency in self.resolution.log.detected[detected_before:]:
@@ -303,14 +302,14 @@ class ResolutionPipeline:
 
 
 class PipelineDriver:
-    """The arrival loop: clock + use scheduler over routed pipelines.
+    """Clock + use scheduler over routed pipelines.
 
-    Reproduces the window bookkeeping of the historical
+    Holds the window bookkeeping of the historical
     ``Middleware.receive`` -- the shared clock, the admitted-arrival
-    counter, both window semantics, and the ordering of expiry,
-    draining, checking and use around each arrival -- while the
-    per-context pool work happens in whichever pipeline ``route``
-    selects.
+    counter and both window semantics -- that
+    :func:`~repro.runtime.batch.receive_batch` applies each arrival
+    against, while the per-context pool work happens in whichever
+    pipeline ``route`` selects.
 
     Parameters
     ----------
@@ -384,60 +383,11 @@ class PipelineDriver:
     # -- arrivals -----------------------------------------------------------
 
     def receive(self, ctx: Context) -> None:
-        """Process one arrival: expiry, due drains, check, schedule.
+        """Process one arrival: a batch of one through
+        :func:`~repro.runtime.batch.receive_batch`."""
+        from .batch import receive_batch  # local import: cycle
 
-        With asynchronous checking enabled the arrival first passes the
-        snapshot window: it may be dropped (stale/duplicate), buffered,
-        or trigger the release of a timestamp-sorted run that is then
-        processed as if it had arrived synchronized.
-        """
-        if self.ingress is None:
-            self._receive_now(ctx)
-            return
-        outcome = self.ingress.offer(ctx)
-        if outcome.dropped is not None:
-            event_type = (
-                ContextStale if outcome.dropped == "stale" else ContextDuplicate
-            )
-            self.pipelines[self.route(ctx)].bus.publish(
-                event_type(at=self.clock.now(), context=ctx)
-            )
-        for released in outcome.released:
-            self._receive_now(released)
-
-    def _receive_now(self, ctx: Context) -> None:
-        """The synchronous arrival step (post-ingress in async mode)."""
-        now = max(self.clock.now(), ctx.timestamp)
-        self.clock.advance_to(now)
-        for pipeline in self.pipelines:
-            pipeline.expire_due(now)
-        if self.scheduler.use_delay is not None:
-            # Time-based window: contexts whose delay elapsed are used
-            # BEFORE the newcomer is checked -- they have left the
-            # checking scope by the time it arrives.
-            self.drain_due_uses(now)
-
-        pipeline_index = self.route(ctx)
-        if ctx.expiry <= now:
-            # Dead on arrival: its availability period ended at or
-            # before the clock it arrives under -- expire at receive
-            # instead of admitting a context the next sweep would
-            # already have removed.
-            self.pipelines[pipeline_index].expire_on_receive(ctx, now)
-            return
-        if self.pipelines[pipeline_index].pool.get(ctx.ctx_id) is not None:
-            # At-least-once re-delivery while the original is still
-            # live: refuse it instead of tripping the pool's unique-id
-            # invariant.  (A duplicate arriving after the original left
-            # the pool is indistinguishable from a fresh context and is
-            # admitted as one.)
-            self.pipelines[pipeline_index].refuse_duplicate(ctx, now)
-            return
-        outcome = self.pipelines[pipeline_index].add(ctx, now)
-        if ctx.ctx_id not in {c.ctx_id for c in outcome.discarded}:
-            self.scheduler.schedule(ctx, pipeline_index, now)
-
-        self.drain_due_uses(now)
+        receive_batch(self, (ctx,))
 
     def receive_all(self, contexts: Iterable[Context]) -> None:
         """Feed a whole stream, then flush the remaining pending uses.
@@ -480,8 +430,9 @@ class PipelineDriver:
     def flush_ingress(self) -> None:
         """Release everything the snapshot window still buffers."""
         if self.ingress is not None:
-            for ctx in self.ingress.flush():
-                self._receive_now(ctx)
+            from .batch import receive_synchronized  # local import: cycle
+
+            receive_synchronized(self, self.ingress.flush())
 
     def flush_uses(self) -> None:
         """Use every context still awaiting its window (end of stream).

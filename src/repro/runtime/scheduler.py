@@ -2,9 +2,10 @@
 
 The paper's drop-bad life cycle delays the *use* of a context by a
 configurable window after its arrival (Section 5.3).  Two window
-semantics exist, historically implemented twice (``Middleware`` and the
-engine's ``StreamDriver``) with an O(n) deque rebuild on every discard.
-:class:`UseScheduler` is the single implementation both now share:
+semantics exist, historically implemented twice (in ``Middleware`` and
+in the engine's shard driver) with an O(n) deque rebuild on every
+discard.  :class:`UseScheduler` is the single implementation every
+:class:`~.pipeline.PipelineDriver` now shares:
 
 * **count-based** (``use_window`` admitted arrivals) -- deterministic
   and the experiments' default;

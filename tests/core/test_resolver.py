@@ -5,6 +5,7 @@ from typing import List, Sequence
 import pytest
 
 from repro.core.context import Context
+from repro.core.drop_bad import DropBadStrategy
 from repro.core.inconsistency import Inconsistency
 from repro.core.resolver import (
     InconsistencyDetector,
@@ -12,6 +13,8 @@ from repro.core.resolver import (
     ResolutionService,
 )
 from repro.core.strategy import make_strategy
+from repro.obs import telemetry as telemetry_module
+from repro.obs.telemetry import STAGE_HISTOGRAM, Telemetry
 
 
 class PairDetector(InconsistencyDetector):
@@ -106,6 +109,47 @@ class TestResolutionService:
         service.reset()
         assert service.log.added == []
         assert len(service.strategy.delta) == 0
+
+
+class _FakeClock:
+    """Stands in for the ``time`` module the stage timers read."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+
+class _SlowScopeDropBad(DropBadStrategy):
+    """Drop-bad whose checking-scope test costs one fake second."""
+
+    def __init__(self, clock: _FakeClock) -> None:
+        super().__init__()
+        self.clock = clock
+
+    def participates_in_checking(self, ctx: Context) -> bool:
+        self.clock.now += 1.0
+        return super().participates_in_checking(ctx)
+
+
+class TestStageBoundaries:
+    def test_check_timer_covers_detection_only(self, mk, monkeypatch):
+        """Building the checking scope is not charged to ``check``."""
+        clock = _FakeClock()
+        monkeypatch.setattr(telemetry_module, "time", clock)
+        telemetry = Telemetry()
+        service = ResolutionService(PairDetector(), _SlowScopeDropBad(clock))
+        service.telemetry = telemetry
+        scope = [mk(ctx_id=f"p{i}", timestamp=float(i)) for i in range(5)]
+        service.handle_addition(mk(ctx_id="new", timestamp=9.0), scope, now=9.0)
+
+        assert clock.now == 5.0  # the scope test ran once per context
+        check = telemetry.registry.histogram(
+            STAGE_HISTOGRAM, labels={"stage": "check"}
+        )
+        assert check.count == 1
+        assert check.sum == 0.0
 
 
 class TestResolutionLog:

@@ -150,26 +150,3 @@ class TestApplicationStreamGoldens:
         assert len(delivered) == golden["delivered"]
         assert len(discarded) == golden["discarded"]
         assert _streams.signature(delivered, discarded) == golden["signature"]
-
-    @pytest.mark.parametrize("app_key", sorted(APPS))
-    def test_batch_toggle_is_decision_neutral(self, app_key):
-        """--no-runtime-batch is a perf lever, never a decision lever."""
-        golden = APPS[app_key]["runs"]["inline-kernels-on"]
-        constraints, registry_factory, stream, strategy, use_window = (
-            _streams.app_inputs(app_key)
-        )
-        engine = ShardedEngine(
-            constraints,
-            strategy=strategy,
-            registry_factory=registry_factory,
-            config=EngineConfig(
-                shards=_streams.APP_SHARDS,
-                use_window=use_window,
-                runtime_batch=False,
-            ),
-        )
-        result = engine.run(stream)
-        signature = _streams.signature(
-            result.delivered_ids, result.discarded_ids
-        )
-        assert signature == golden["signature"]

@@ -60,7 +60,6 @@ class TestSingleLifecycleModule:
 
     def test_shard_pipeline_inherits_the_runtime_stages(self):
         assert issubclass(shard.ShardPipeline, ResolutionPipeline)
-        assert issubclass(shard.StreamDriver, PipelineDriver)
         # The shard overrides only decorate with counters; the stage
         # bodies they execute are the inherited ones.
         for name in ("add", "use"):
@@ -68,6 +67,28 @@ class TestSingleLifecycleModule:
             assert f"super().{name}(" in override
         for name in ("expire_due", "next_expiry", "attach_telemetry"):
             assert name not in shard.ShardPipeline.__dict__
+
+    def test_one_arrival_loop(self):
+        """Every arrival goes through ``runtime.batch.receive_batch``:
+        the driver keeps no arrival step of its own, and the engine
+        keeps no driver of its own."""
+        source = (SRC / "runtime" / "pipeline.py").read_text()
+        for call in (".expire_on_receive(", ".refuse_duplicate("):
+            assert call not in source, (
+                f"runtime/pipeline.py calls {call!r}: the arrival step "
+                "must stay in repro/runtime/batch.py"
+            )
+        # No private per-context arrival step on the driver ...
+        assert not [
+            name for name in vars(PipelineDriver) if name.startswith("_receive")
+        ]
+        # ... and no engine-side driver name, alias or subclass.
+        drivers = [
+            name
+            for name, value in vars(shard).items()
+            if isinstance(value, type) and issubclass(value, PipelineDriver)
+        ]
+        assert drivers == ["PipelineDriver"]
 
     def test_middleware_delegates_to_the_runtime(self):
         from repro.constraints.checker import ConstraintChecker
