@@ -67,7 +67,7 @@ def _detect_all(mode: str, trace: bool = False):
         # Expiry keeps the pool bounded the way the middleware would
         # (workload contexts carry a 60 s lifespan).
         pool.expire(ctx.timestamp)
-        found = checker.detect(ctx, pool.contents(), now=ctx.timestamp)
+        found = checker.detect(ctx, checker.pool_index, now=ctx.timestamp)
         detected += len(found)
         if sequence is not None:
             sequence.append(
@@ -208,7 +208,7 @@ def _detect_all_batched(batch_size: int, batch_kernels: bool = True,
         # detect_batch's per-row cutoff's job.
         pool.expire(chunk[0].timestamp)
         verdicts = checker.detect_batch(
-            chunk, pool.contents(), now=[c.timestamp for c in chunk]
+            chunk, checker.pool_index, now=[c.timestamp for c in chunk]
         )
         for ctx, found in zip(chunk, verdicts):
             detected += len(found)

@@ -52,10 +52,11 @@ class ConstraintChecker(InconsistencyDetector):
     exactly the delta a resolution strategy needs on a context addition
     change.
 
-    Hosts that own a :class:`~repro.middleware.pool.ContextPool` call
-    :meth:`attach_pool` once; the checker then maintains a persistent
-    :class:`~repro.constraints.index.CandidateIndex` through pool
-    listeners and stops rebuilding per-type extents on every detect.
+    Hosts hand the checker a persistent
+    :class:`~repro.constraints.index.CandidateIndex` holding the
+    checking scope (:meth:`attach_scope`, or :meth:`attach_pool` when
+    the whole pool is the scope) and pass that index as ``existing``;
+    the checker then stops rebuilding per-type extents on every detect.
     """
 
     def __init__(
@@ -80,8 +81,8 @@ class ConstraintChecker(InconsistencyDetector):
         self.evaluator = Evaluator(self.registry, use_kernels=kernels)
         self._pool_index: Optional[CandidateIndex] = None
         # Cross-batch probe memo for detect_batch, stamped by
-        # (registry version, pool-index generation); flushed whenever
-        # either moves, i.e. on predicate replacement or pool mutation.
+        # (registry version, scope-index generation); flushed whenever
+        # either moves, i.e. on predicate replacement or scope mutation.
         self._probe_memo: Dict = {}
         self._probe_stamp = (-1, -1)
         #: Detection statistics, for the incremental-speed-up benchmark.
@@ -160,7 +161,7 @@ class ConstraintChecker(InconsistencyDetector):
 
         Registration also (re)builds the type -> constraints routing
         table, compiles the constraint's execution plan (kernel + join
-        analysis), and -- when a pool is attached -- makes sure the
+        analysis), and -- when a scope is attached -- makes sure the
         persistent index covers the plan's join fields.
         """
         if constraint.name in self._constraints:
@@ -194,29 +195,44 @@ class ConstraintChecker(InconsistencyDetector):
     def constraint(self, name: str) -> Constraint:
         return self._constraints[name]
 
-    # -- pool attachment ---------------------------------------------------
+    # -- scope attachment --------------------------------------------------
 
-    def attach_pool(self, pool) -> None:
-        """Maintain a persistent candidate index over ``pool``.
+    def attach_scope(self, index: CandidateIndex) -> None:
+        """Adopt ``index`` as the persistent checking-scope index.
 
-        Seeds the index from the pool's current contents and registers
-        it as a pool listener, so additions, discards and expiry keep
-        it consistent.  ``detect`` uses the persistent index whenever
-        the checking scope it is handed equals the pool contents (the
-        common case); strategies that exclude contexts from checking
-        fall back to a per-call scope index transparently.
+        The checker only reads it, after indexing its constraints' join
+        fields; its writer (the runtime pipeline, or the pool
+        :meth:`attach_pool` registers it on) keeps it equal to the
+        contexts that participate in checking.  :meth:`detect` and
+        :meth:`detect_batch` probe it directly when handed the index
+        itself as ``existing``; a plain list gets a per-call
+        :class:`~repro.constraints.index.EphemeralScopeIndex`.
         """
         fields: Set[str] = set()
         for constraint in self._constraints.values():
             fields.update(self._engine.plan_for(constraint).join_fields())
-        index = CandidateIndex(fields=sorted(fields))
+        for field in sorted(fields):
+            index.ensure_field(field)
+        self._pool_index = index
+
+    def attach_pool(self, pool) -> None:
+        """Make the whole of ``pool`` the checking scope.
+
+        For hosts where every pooled context participates in checking
+        (the detection tests and benchmarks): seeds a fresh index from
+        the pool's current contents, registers it as a pool listener,
+        so additions, discards and expiry keep it current, and adopts
+        it through :meth:`attach_scope`.  Pass :attr:`pool_index` as
+        ``existing`` to detect against it.
+        """
+        index = CandidateIndex()
         index.rebuild(pool)
         pool.add_listener(index)
-        self._pool_index = index
+        self.attach_scope(index)
 
     @property
     def pool_index(self) -> Optional[CandidateIndex]:
-        """The attached persistent index, if any (diagnostics/tests)."""
+        """The attached checking-scope index, if any."""
         return self._pool_index
 
     # -- InconsistencyDetector interface -------------------------------------
@@ -237,15 +253,10 @@ class ConstraintChecker(InconsistencyDetector):
         self.detect_calls += 1
         self.registry.now = now
         constraints = self._routing.get(ctx.ctx_type, ())
-        # The persistent index is usable iff the scope we were handed
-        # is exactly the pool: the scope is always an order-preserving
-        # filter of the pool contents, so equal sizes imply equal
-        # lists.  Strategies that exclude contexts from checking get a
-        # per-call scope index instead (built once, shared across
-        # constraints -- never per constraint).
-        index = self._pool_index
-        if index is not None and index.size == len(existing):
-            view = index
+        # A plain list gets a per-call scope index (built once, shared
+        # across constraints -- never per constraint).
+        if existing is self._pool_index:
+            view = existing
         else:
             view = EphemeralScopeIndex(existing)
 
@@ -358,9 +369,9 @@ class ConstraintChecker(InconsistencyDetector):
             )
 
         index = self._pool_index
-        if index is not None and index.size == len(existing):
-            # Persistent pool index: the probe memo survives across
-            # batches as long as neither the registry nor the pool
+        if existing is index:
+            # Persistent scope index: the probe memo survives across
+            # batches as long as neither the registry nor the scope
             # moved (their versions are the stamp).
             stamp = (self.registry.version, index.generation)
             if stamp != self._probe_stamp:
@@ -500,25 +511,16 @@ class ConstraintChecker(InconsistencyDetector):
         (earlier rows appended, per-row expiry filter applied)."""
         results: List[List[Inconsistency]] = []
         admitted = list(existing)
-        # Our materialised scopes are NOT pool filters (batch rows are
-        # appended), so detect()'s size-equality shortcut onto the
-        # persistent pool index must not fire -- park the index and
-        # let every row build an ephemeral scope view.
-        saved = self._pool_index
-        self._pool_index = None
-        try:
-            for ctx, row_now in zip(batch, nows, strict=True):
-                if ctx.ctx_type in self._relevant_types:
-                    scope = [c for c in admitted if c.expiry > row_now]
-                    verdict = self.detect(ctx, scope, row_now)
-                    results.append(verdict)
-                    if verdict and stop_at_hit:
-                        break
-                else:
-                    results.append([])
-                admitted.append(ctx)
-        finally:
-            self._pool_index = saved
+        for ctx, row_now in zip(batch, nows, strict=True):
+            if ctx.ctx_type in self._relevant_types:
+                scope = [c for c in admitted if c.expiry > row_now]
+                verdict = self.detect(ctx, scope, row_now)
+                results.append(verdict)
+                if verdict and stop_at_hit:
+                    break
+            else:
+                results.append([])
+            admitted.append(ctx)
         return results
 
     def forget(self, ctx: Context) -> None:
@@ -526,47 +528,29 @@ class ConstraintChecker(InconsistencyDetector):
 
         Present to satisfy the detector protocol: the incremental
         engine evaluates only fresh bindings, so discarded contexts
-        simply never appear in future scopes.  (The persistent
-        candidate index is maintained through *pool* listeners, not
-        through this hook: a forgotten context leaves the index when
-        the owning pool actually removes it.)
+        simply never appear in future scopes.  (The checking-scope
+        index is kept by its writer, not through this hook: a forgotten
+        context leaves the index when it actually leaves the scope.)
         """
 
     # -- diagnostics --------------------------------------------------------
 
     def check_all(
-        self, contexts: Optional[Sequence[Context]] = None, now: float = 0.0
+        self, contexts: Sequence[Context], now: float = 0.0
     ) -> List[Inconsistency]:
-        """Full (non-incremental) check of a whole pool, for tests and
+        """Full (non-incremental) check of ``contexts``, for tests and
         for the scenario walkthroughs: every current violation of every
-        constraint, not only those involving a particular context.
-
-        With ``contexts=None`` the attached pool's persistent index
-        supplies the extents directly -- no per-call ``by_type``
-        rebuild."""
+        constraint, not only those involving a particular context."""
         self.registry.now = now
-        if contexts is None:
-            if self._pool_index is None:
-                raise ValueError(
-                    "check_all() without contexts requires an attached pool"
-                )
-            view = self._pool_index
-            pool_size = view.size
+        by_type: Dict[str, List[Context]] = {}
+        for context in contexts:
+            by_type.setdefault(context.ctx_type, []).append(context)
 
-            def domain(ctx_type: str) -> Sequence[Context]:
-                return view.extent(ctx_type)
-
-        else:
-            pool_size = len(contexts)
-            by_type: Dict[str, List[Context]] = {}
-            for context in contexts:
-                by_type.setdefault(context.ctx_type, []).append(context)
-
-            def domain(ctx_type: str) -> Sequence[Context]:
-                return by_type.get(ctx_type, ())
+        def domain(ctx_type: str) -> Sequence[Context]:
+            return by_type.get(ctx_type, ())
 
         out: List[Inconsistency] = []
-        with self.telemetry.span("check.full", pool=pool_size):
+        with self.telemetry.span("check.full", pool=len(contexts)):
             for name in sorted(self._constraints):
                 constraint = self._constraints[name]
                 for contexts_set in self.evaluator.violations(constraint, domain):

@@ -18,11 +18,13 @@ This module provides the two halves of that optimisation:
   under ``not E`` (see :func:`_guards`), so pruned bindings are
   exactly bindings that cannot violate.
 * :class:`CandidateIndex` maintains persistent per-``(type, field)``
-  hash buckets over a live context pool, updated through pool
-  add/remove/expire listeners, and :class:`EphemeralScopeIndex`
-  provides the same interface over a one-off scope list (used when the
-  checking scope is a strict subset of the pool, e.g. under strategies
-  that exclude used contexts from checking).
+  hash buckets over a live checking scope.  It is the scope itself,
+  not a mirror of the pool: its one writer adds a context when it
+  enters checking and removes it when it leaves (the runtime pipeline
+  forwards pool inserts the strategy lets into checking, pool
+  removals, and uses that take a context out of checking).
+  :class:`EphemeralScopeIndex` provides the same query interface over
+  a one-off scope list, for callers that pass plain lists.
 
 Both index classes preserve **arrival order** inside every extent and
 bucket, which keeps candidate enumeration -- and therefore violation
@@ -43,6 +45,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -215,13 +218,15 @@ Restrictions = Sequence[Tuple[str, object]]
 
 
 class CandidateIndex:
-    """Persistent per-(type, field) hash buckets over a context pool.
+    """Persistent per-(type, field) hash buckets over a checking scope.
 
-    Registered as a pool listener (``on_add`` / ``on_remove`` /
-    ``on_clear``), so add, discard and expiry keep it consistent
-    without the checker rebuilding ``by_type`` per detect call.
-    Buckets map a field value to contexts **in arrival order** (dict
-    insertion order), matching a linear scan of the pool.
+    Written through the pool-listener interface (``on_add`` /
+    ``on_remove`` / ``on_clear``), so the checker never rebuilds
+    ``by_type`` per detect call.  Buckets map a field value to
+    contexts **in arrival order** (dict insertion order), matching a
+    linear scan of the scope, as long as a context never re-enters
+    after it left.  Iterating or sizing the index covers the whole
+    scope, so it can be handed to a detector as ``existing``.
 
     Fields are indexed lazily: the first :meth:`candidates` query for
     a field backfills its buckets from the current contents.
@@ -337,13 +342,19 @@ class CandidateIndex:
         """Every indexed context (arrival order within each type)."""
         return [ctx for extent in self._by_type.values() for ctx in extent.values()]
 
+    def __iter__(self) -> Iterator[Context]:
+        return iter(self.contents())
+
+    def __len__(self) -> int:
+        return self.size
+
 
 class EphemeralScopeIndex:
     """The :class:`CandidateIndex` query interface over a scope list.
 
-    Built once per ``detect`` call when the checking scope differs
-    from the attached pool (or no pool is attached); buckets are
-    materialised lazily per queried ``(type, field)``.
+    Built once per ``detect`` call when the caller passes a plain list
+    instead of the checker's scope index; buckets are materialised
+    lazily per queried ``(type, field)``.
     """
 
     def __init__(self, contexts: Sequence[Context]) -> None:

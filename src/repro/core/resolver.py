@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .context import Context
 from .inconsistency import Inconsistency
@@ -153,22 +153,22 @@ class ResolutionService:
     def handle_addition(
         self,
         ctx: Context,
-        pool_contexts: Iterable[Context],
+        scope: Sequence[Context],
         now: float,
         detected: Optional[List[Inconsistency]] = None,
     ) -> AddOutcome:
         """Process a context addition change.
 
-        ``pool_contexts`` are the live contexts currently in the pool
-        (excluding ``ctx``): a list, or the pool itself.  The service
-        filters them down to the strategy's checking scope only when it
-        detects on its own.  ``detected``, when not ``None``, is a
+        ``scope`` is the checking scope ``ctx`` is checked against: the
+        live contexts that participate in checking (excluding ``ctx``),
+        as its host keeps them -- the runtime pipeline passes its
+        maintained scope index.  ``detected``, when not ``None``, is a
         precomputed detection verdict for exactly this addition (the
         batched detection path of :mod:`repro.runtime.batch` plans
-        these through ``detect_batch``): the detector is not consulted
-        and the scope is never built, but logging, strategy dispatch
-        and outcome handling are unchanged, so the decision trail is
-        byte-identical to an inline detect.
+        these through ``detect_batch``): the detector is not consulted,
+        but logging, strategy dispatch and outcome handling are
+        unchanged, so the decision trail is byte-identical to an inline
+        detect.
         """
         telemetry = self._telemetry
         self.log.added.append(ctx)
@@ -178,14 +178,6 @@ class ResolutionService:
             if detected is not None:
                 new_inconsistencies = detected
             else:
-                # Scope upkeep stays outside the check timer, which
-                # covers detection only.
-                scope = [
-                    c
-                    for c in pool_contexts
-                    if not c.is_expired(now)
-                    and self.strategy.participates_in_checking(c)
-                ]
                 with self._stage_check:
                     new_inconsistencies = self.detector.detect(ctx, scope, now)
             self.log.detected.extend(new_inconsistencies)

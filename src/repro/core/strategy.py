@@ -117,17 +117,6 @@ class ResolutionStrategy(ABC):
         {ContextState.CONSISTENT, ContextState.UNDECIDED, ContextState.BAD}
     )
 
-    #: Whether every context living in the pool is guaranteed to
-    #: participate in checking (``participates_in_checking`` is
-    #: vacuously true for pooled contexts), so the checking scope of an
-    #: addition is exactly the live pool contents.  Batched detection
-    #: (:mod:`repro.runtime.batch`) may precompute verdicts for a run
-    #: of arrivals only under this guarantee; deferred strategies like
-    #: drop-bad, where a *used* context stays pooled but leaves
-    #: checking, keep the default ``False`` and always take the
-    #: per-context path.
-    pool_equals_checking_scope: bool = False
-
     def __init__(self) -> None:
         self.lifecycle = LifecycleTracker()
         self.delta = TrackedInconsistencies()
@@ -194,11 +183,6 @@ class ImmediateStrategy(ResolutionStrategy):
 
     Subclasses implement :meth:`choose_victims`.
     """
-
-    #: Immediate strategies discard victims at detection time, so the
-    #: pool only ever holds consistent (or strategy-unknown) contexts
-    #: -- all of which participate in checking.
-    pool_equals_checking_scope = True
 
     @abstractmethod
     def choose_victims(

@@ -3,11 +3,8 @@
 The workload is built to have exactly the structure the scope analyzer
 exploits: ``scope_groups`` independent families of context types, each
 family coupled by a chain of two-variable consistency constraints over
-adjacent types.  The single-pool middleware pays O(pool) bookkeeping
-per arrival across *all* families (pool scans, checking-scope
-filtering, per-type indexing); a shard only pays for its own family,
-which is where the measured speedup comes from even before worker
-processes add real parallelism on multi-core hosts.
+adjacent types, so up to ``scope_groups`` shards share no state and
+process-mode workers can run them in parallel.
 
 Decisions are identical at every shard count (the equivalence property
 the engine guarantees), so throughput is the only thing that varies.
@@ -108,20 +105,20 @@ def run_scalability_bench(
     """Measure engine throughput at each shard count on one workload.
 
     Returns a JSON-ready record: per-shard-count contexts/second (best
-    of ``repeats``), the decision totals (identical across counts --
-    asserted), and the headline speedup of the largest count over the
+    of ``repeats``), the decision totals (the same across counts --
+    asserted, in the sense the mode promises: the ordered decision
+    signature in ``inline`` mode, the delivered and discarded id sets
+    in ``local``/``process`` mode, whose per-shard events are merged by
+    timestamp), and the headline speedup of the largest count over the
     smallest.  ``contexts_per_second`` is stored raw (floats are for
     comparing across commits); ``elapsed_s`` is rounded only because it
     is redundant with it.  An optional ``telemetry`` bundle
     (:class:`repro.obs.Telemetry`) is threaded into every engine run so
     the benchmark can emit a sidecar alongside the numbers.
 
-    ``batch_kernels`` toggles columnar batched detection.  The
-    scalability thresholds were calibrated on the per-context detection
-    path, whose pool-scan cost is exactly what scope sharding removes;
-    batched detection attacks that same cost directly, so measuring the
-    sharding speedup with it enabled conflates the two optimizations --
-    pass ``False`` to isolate the shard-count variable.
+    ``batch_kernels`` toggles columnar batched detection; pass
+    ``False`` to measure the shard-count variable on the per-context
+    detection path alone.
     """
     constraints, contexts = workload or scalability_workload(
         n_contexts, seed=seed
@@ -150,10 +147,13 @@ def run_scalability_bench(
             if best is None or last.metrics.elapsed_s < best:
                 best = last.metrics.elapsed_s
         assert last is not None and best is not None and engine is not None
-        decisions = (
-            tuple(last.delivered_ids),
-            tuple(sorted(last.discarded_ids)),
-        )
+        if mode == "inline":
+            decisions = last.decision_signature()
+        else:
+            decisions = {
+                "delivered": set(last.delivered_ids),
+                "discarded": set(last.discarded_ids),
+            }
         if signature is None:
             signature = decisions
         elif decisions != signature:

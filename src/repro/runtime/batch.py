@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from ..core.context import Context
+from ..core.context import Context, ContextState
 from ..middleware.bus import ContextDuplicate, ContextStale
 from .pipeline import PipelineDriver, ResolutionPipeline
 
@@ -81,10 +81,10 @@ class _BatchDetectPlanner:
     * every planned row is admitted when its turn comes (no strategy
       discard of the newcomer or of victims, no dead-on-arrival or
       duplicate interception), and
-    * nothing else leaves the pool except expiry (which the per-row
-      cutoff filter reproduces), and
-    * every pooled context participates in checking
-      (``strategy.pool_equals_checking_scope``).
+    * nothing else leaves the checking scope except expiry (which the
+      per-row cutoff filter reproduces).  When the strategy keeps
+      ``consistent`` contexts in checking, a use never takes a context
+      out of the scope, so it shrinks only by discard or expiry.
 
     Duplicate and dead-on-arrival interceptions are decidable at
     planning time (clocks depend only on timestamps), so the accepted
@@ -96,7 +96,7 @@ class _BatchDetectPlanner:
     once the hit has been applied, against the live pool.  Every
     arrival's verdict is thus evaluated exactly once.
 
-    The discard log stays the safety net for any other pool removal:
+    The discard log stays the safety net for any other scope removal:
     its length is re-checked before each verdict is consumed, and on a
     mismatch the remaining rows are planned again.  Row identity and
     clock are verified per consume; any divergence abandons the plan
@@ -165,7 +165,7 @@ class _BatchDetectPlanner:
             with pipeline.resolution.stage_check:
                 self.verdicts = self.detector.detect_batch(
                     self.rows,
-                    pipeline.pool.contents(),
+                    pipeline.scope,
                     self.nows,
                     stop_at_hit=True,
                 )
@@ -176,7 +176,7 @@ class _BatchDetectPlanner:
         Plans the remaining rows when the previous pass stopped at a
         hit that has since been applied, or when the pipeline discarded
         contexts since the verdicts were computed (the scope the plan
-        assumed no longer matches the pool).
+        assumed no longer holds).
         """
         if self.cursor >= len(self.rows):
             return None
@@ -206,8 +206,11 @@ def _batch_planners(
     Eligibility mirrors :class:`_BatchDetectPlanner`'s soundness
     conditions: the detector must expose ``detect_batch`` with its
     batch kernels enabled (with them off the sequential emulation would
-    only add overhead), and the strategy must guarantee that the pool
-    *is* the checking scope.  ``routes`` is the precomputed pipeline
+    only add overhead), and the strategy must keep ``consistent``
+    contexts in checking, so that a use never shrinks the scope.
+    Drop-bad does not (a used context leaves checking) and keeps the
+    per-context path, whose scope upkeep is O(1) per arrival and use.
+    ``routes`` is the precomputed pipeline
     index per context (routing may count calls, so the caller routes
     each context exactly once and shares the result).  Returns ``None``
     when no pipeline qualifies, so the hot loop skips planner lookups
@@ -219,11 +222,8 @@ def _batch_planners(
         if (
             getattr(detector, "batch_kernels", False)
             and callable(getattr(detector, "detect_batch", None))
-            and getattr(
-                pipeline.resolution.strategy,
-                "pool_equals_checking_scope",
-                False,
-            )
+            and ContextState.CONSISTENT
+            in pipeline.resolution.strategy.checking_states
         ):
             planners[index] = _BatchDetectPlanner(pipeline)
         else:

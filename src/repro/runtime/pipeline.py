@@ -24,9 +24,11 @@ Two classes split the work along the line the sharded engine needs:
   arrival step itself is :func:`~repro.runtime.batch.receive_batch`,
   the one loop every entry point feeds.
 
-Expiry is registered through a pool listener, so *every* pool insert
-(including checkpoint restores, which re-add the pool contents) lands
-in the expiry heap; streams of immortal contexts pay O(1) per arrival.
+Expiry and the checking scope are kept through a pool listener, so
+*every* pool insert (including checkpoint restores, which re-add the
+pool contents) lands in the expiry heap and -- when the strategy lets
+it participate in checking -- in the scope; streams of immortal
+contexts pay O(1) per arrival.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import heapq
 from itertools import islice
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from ..constraints.index import CandidateIndex
 from ..core.context import Context
 from ..core.resolver import AddOutcome, ResolutionService, UseOutcome
 from ..core.strategy import ResolutionStrategy
@@ -58,12 +61,15 @@ from .snapshot import AsyncCheckConfig, SnapshotIngress
 __all__ = ["ResolutionPipeline", "PipelineDriver"]
 
 
-class _ExpiryListener:
-    """Pool listener feeding the pipeline's expiry heap.
+class _PoolListener:
+    """Pool listener feeding the pipeline's expiry heap and checking scope.
 
     Registered on the pool at pipeline construction, so direct pool
-    inserts (tests, checkpoint restores) schedule expiry too -- the
-    heap can never miss a context the pool holds.
+    inserts (tests, checkpoint restores) schedule expiry and enter the
+    scope too -- neither can miss a context the pool holds.  A context
+    enters the scope when it enters the pool and the strategy lets it
+    participate in checking, and leaves it when it leaves the pool
+    (:meth:`ResolutionPipeline.use` handles the one other exit).
     """
 
     __slots__ = ("_pipeline",)
@@ -78,14 +84,18 @@ class _ExpiryListener:
             heapq.heappush(
                 pipeline._expiry_heap, (ctx.expiry, pipeline._heap_seq, ctx)
             )
+        if pipeline.resolution.strategy.participates_in_checking(ctx):
+            pipeline.scope.on_add(ctx)
 
     def on_remove(self, ctx: Context) -> None:
-        pass  # heap entries for removed contexts are skipped lazily
+        # Heap entries for removed contexts are skipped lazily.
+        self._pipeline.scope.on_remove(ctx)
 
     def on_clear(self) -> None:
         pipeline = self._pipeline
         pipeline._expiry_heap.clear()
         pipeline._heap_seq = 0
+        pipeline.scope.on_clear()
 
 
 class ResolutionPipeline:
@@ -95,9 +105,10 @@ class ResolutionPipeline:
     ----------
     detector:
         Inconsistency detector (usually a
-        :class:`~repro.constraints.checker.ConstraintChecker`).  A
-        detector with ``attach_pool`` gets the pipeline's pool, so
-        persistent candidate indexes ride the pool listeners.
+        :class:`~repro.constraints.checker.ConstraintChecker`).  It is
+        handed :attr:`scope` as ``existing`` on every detect; a
+        detector with ``attach_scope`` adopts it as its persistent
+        candidate index.
     strategy:
         The resolution strategy plug-in.
     bus:
@@ -135,12 +146,13 @@ class ResolutionPipeline:
         self._wrapper_spans = wrapper_spans
         self._expiry_heap: List[Tuple[float, int, Context]] = []
         self._heap_seq = 0
-        self.pool.add_listener(_ExpiryListener(self))
-        if hasattr(detector, "attach_pool"):
-            # Constraint checkers maintain persistent candidate indexes
-            # through pool listeners (see constraints.index); restores
-            # that re-add pool contents rebuild them, like the heap.
-            detector.attach_pool(self.pool)
+        #: The checking scope: the pooled contexts that participate in
+        #: checking, kept current on lifecycle transitions by this
+        #: pipeline (its only writer) and handed to every detect.
+        self.scope = CandidateIndex()
+        self.pool.add_listener(_PoolListener(self))
+        if hasattr(detector, "attach_scope"):
+            detector.attach_scope(self.scope)
         #: Use scheduler shared with the driving loop; bound by
         #: :class:`PipelineDriver`.  Victims and expired contexts are
         #: unscheduled here so every driver stays consistent.
@@ -192,7 +204,7 @@ class ResolutionPipeline:
         with self._stage_receive:
             detected_before = len(self.resolution.log.detected)
             outcome = self.resolution.handle_addition(
-                ctx, self.pool, now, detected=detected
+                ctx, self.scope, now, detected=detected
             )
             self.bus.publish(ContextReceived(at=now, context=ctx))
             for inconsistency in self.resolution.log.detected[detected_before:]:
@@ -229,6 +241,12 @@ class ResolutionPipeline:
                     if self.scheduler is not None:
                         self.scheduler.discard(victim.ctx_id)
                     self.bus.publish(ContextDiscarded(at=now, context=victim))
+            strategy = self.resolution.strategy
+            if ctx in self.pool and not strategy.participates_in_checking(ctx):
+                # Drop-bad: a used context stays pooled but is "removed
+                # from the checking of its involved inconsistencies"
+                # (Section 3.2).
+                self.scope.on_remove(ctx)
             if outcome.delivered:
                 with self._stage_deliver:
                     self.bus.publish(ContextDelivered(at=now, context=ctx))

@@ -100,7 +100,7 @@ class TestAnalyzeJoins:
 def _assert_index_matches(index, contexts):
     """The index answers every query exactly like a linear scan."""
     types = {ctx.ctx_type for ctx in contexts} | {"missing"}
-    assert index.size == len(contexts)
+    assert len(index) == len(contexts)
     for ctx_type in types:
         scan = [c for c in contexts if c.ctx_type == ctx_type]
         assert list(index.extent(ctx_type)) == scan
@@ -280,7 +280,8 @@ class TestCheckerPoolAttachment:
                 checker.attach_pool(pool)
             trace = []
             for ctx in contexts:
-                found = checker.detect(ctx, pool.contents(), now=ctx.timestamp)
+                scope = checker.pool_index if attach else pool.contents()
+                found = checker.detect(ctx, scope, now=ctx.timestamp)
                 trace.append(
                     (
                         ctx.ctx_id,

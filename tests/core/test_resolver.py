@@ -5,7 +5,6 @@ from typing import List, Sequence
 import pytest
 
 from repro.core.context import Context
-from repro.core.drop_bad import DropBadStrategy
 from repro.core.inconsistency import Inconsistency
 from repro.core.resolver import (
     InconsistencyDetector,
@@ -13,8 +12,6 @@ from repro.core.resolver import (
     ResolutionService,
 )
 from repro.core.strategy import make_strategy
-from repro.obs import telemetry as telemetry_module
-from repro.obs.telemetry import STAGE_HISTOGRAM, Telemetry
 
 
 class PairDetector(InconsistencyDetector):
@@ -74,17 +71,6 @@ class TestResolutionService:
         assert outcome.admitted == (ctx,)
         assert not outcome.buffered
 
-    def test_expired_contexts_excluded_from_scope(self, mk):
-        detector = PairDetector()
-        service = ResolutionService(detector, make_strategy("drop-latest"))
-        stale = mk(ctx_id="old", timestamp=0.0, lifespan=1.0, value=(0, 0))
-        fresh = mk(ctx_id="new", timestamp=0.0, value=(9, 9))
-        service.handle_addition(stale, [], now=0.0)
-        outcome = service.handle_addition(fresh, [stale], now=5.0)
-        # stale expired at t=1; no conflict is detected at t=5.
-        assert service.log.detected == []
-        assert outcome.admitted == (fresh,)
-
     def test_discarded_contexts_are_forgotten(self, mk):
         detector = PairDetector()
         service = ResolutionService(detector, make_strategy("drop-latest"))
@@ -109,47 +95,6 @@ class TestResolutionService:
         service.reset()
         assert service.log.added == []
         assert len(service.strategy.delta) == 0
-
-
-class _FakeClock:
-    """Stands in for the ``time`` module the stage timers read."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def perf_counter(self) -> float:
-        return self.now
-
-
-class _SlowScopeDropBad(DropBadStrategy):
-    """Drop-bad whose checking-scope test costs one fake second."""
-
-    def __init__(self, clock: _FakeClock) -> None:
-        super().__init__()
-        self.clock = clock
-
-    def participates_in_checking(self, ctx: Context) -> bool:
-        self.clock.now += 1.0
-        return super().participates_in_checking(ctx)
-
-
-class TestStageBoundaries:
-    def test_check_timer_covers_detection_only(self, mk, monkeypatch):
-        """Building the checking scope is not charged to ``check``."""
-        clock = _FakeClock()
-        monkeypatch.setattr(telemetry_module, "time", clock)
-        telemetry = Telemetry()
-        service = ResolutionService(PairDetector(), _SlowScopeDropBad(clock))
-        service.telemetry = telemetry
-        scope = [mk(ctx_id=f"p{i}", timestamp=float(i)) for i in range(5)]
-        service.handle_addition(mk(ctx_id="new", timestamp=9.0), scope, now=9.0)
-
-        assert clock.now == 5.0  # the scope test ran once per context
-        check = telemetry.registry.histogram(
-            STAGE_HISTOGRAM, labels={"stage": "check"}
-        )
-        assert check.count == 1
-        assert check.sum == 0.0
 
 
 class TestResolutionLog:

@@ -66,3 +66,14 @@ class TestEngineBench:
         record = document["engine_scalability"]
         assert set(record["contexts_per_second_by_shards"]) == {"1", "2"}
         assert record["workload"]["n_contexts"] == 300
+
+    def test_bench_process_mode_compares_decision_sets(self, tmp_path):
+        # Process mode merges per-shard events by timestamp, so only the
+        # delivered/discarded id sets are comparable across shard counts.
+        code, text = run_cli(
+            "engine", "bench", "--mode", "process", "--shards", "1", "2",
+            "--contexts", "400", "--repeats", "1",
+            "--telemetry-out", str(tmp_path / "TELEMETRY_engine_bench.json"),
+        )
+        assert code == 0
+        assert "speedup 2_shards_vs_1" in text
